@@ -17,23 +17,31 @@
 //! matrices *only* through `(len_d, len_c, md)`, so the search
 //! decomposes exactly:
 //!
-//! 1. **Map synthesis** (SMT): selector booleans `m[j]` plus a counting
-//!    register for `len_d(G0)`; for every possible split `t`, a guarded
-//!    pseudo-boolean bound encodes `len_d(G0) = t → sum_w ≤ B`. The
-//!    bound `B` descends from `initial_bound` (the paper starts at
-//!    1000) until UNSAT or timeout.
-//! 2. **Matrix synthesis** (CEGIS): with the data lengths now concrete,
-//!    the standard Algorithm 1 loop synthesizes each generator. If a
-//!    split turns out infeasible, it is blocked in the map solver and
-//!    step 1 resumes — CEGIS at the decomposition level.
+//! 1. **Map phase** (closed form, no solver): for a split of `t` bits
+//!    onto G0 the objective is `f1 · Σ w + (f0 − f1) · Σ_{j ∈ G0} w_j`
+//!    with `f0 = f(G0, t)` and `f1 = f(G1, len_w − t)` constant, so the
+//!    one optimal map puts the `t` lightest bits on G0 when `f0 > f1`
+//!    and the `t` heaviest otherwise (ties broken by bit index). Every
+//!    split `t = 1..len_w−1` (empty generators are not representable)
+//!    contributes that map; candidates above `initial_bound` are
+//!    dropped and the rest are ranked by `(sum_w, t)`.
+//! 2. **Matrix phase** (CEGIS): candidates are tried in rank order,
+//!    and the standard Algorithm 1 loop synthesizes each generator for
+//!    the concrete split. A split with no generator matrix
+//!    (`NoSolution`, usually refuted by the static coding bounds before
+//!    any solver runs) falls through to the next candidate — CEGIS at
+//!    the decomposition level. The first split whose matrices exist is
+//!    therefore the exact optimum.
 //!
-//! Like the paper's evaluation, this supports `len_G = 2`; the map
-//! solver rejects larger ensembles.
+//! [`WeightedResult::iterations`] counts the CEGIS iterations of the
+//! matrix phase; the map phase is solver-free and adds none.
+//!
+//! Like the paper's evaluation, this supports `len_G = 2`; larger
+//! ensembles are rejected.
 
 use crate::cegis::{GenShape, ProblemShape, SynthError, SynthesisConfig, Synthesizer};
 use fec_hamming::robustness::choose_times_pow;
 use fec_hamming::Generator;
-use fec_smt::{Budget, Lit, SmtResult, SmtSolver, UnaryInt};
 use std::time::{Duration, Instant};
 
 /// Fixed attributes of one generator in a weighted ensemble.
@@ -55,7 +63,7 @@ pub struct WeightedProblem {
     pub gens: Vec<WeightedGenSpec>,
     /// Channel bit-error probability `p`.
     pub bit_error_rate: f64,
-    /// Starting bound for the `minimal(sum_w)` descent (paper: 1000).
+    /// Upper bound on `sum_w`: maps above it are never tried (paper: 1000).
     pub initial_bound: f64,
 }
 
@@ -68,14 +76,11 @@ pub struct WeightedResult {
     pub map: Vec<usize>,
     /// Achieved objective value.
     pub sum_w: f64,
-    /// Total solver iterations (map proposals + CEGIS iterations).
+    /// CEGIS iterations spent synthesizing generator matrices.
     pub iterations: u64,
     /// Wall-clock time.
     pub elapsed: Duration,
 }
-
-/// Fixed-point scale for real weights inside the PB encoding.
-const SCALE: f64 = 1e6;
 
 /// Synthesizes a weighted ensemble (map + matrices) minimizing `sum_w`.
 pub fn synthesize_weighted(
@@ -94,47 +99,13 @@ pub fn synthesize_weighted(
     }
     let deadline = start + config.timeout;
 
-    // f[i][t] = chooseTimesPow(t + c_i, md_i) for t bits mapped to i
-    let f = |i: usize, t: usize| -> f64 {
-        let spec = &problem.gens[i];
-        choose_times_pow(
-            t + spec.check_len,
-            spec.min_distance,
-            problem.bit_error_rate,
-        )
-    };
-
     let mut iterations = 0u64;
-    // splits proven infeasible by matrix synthesis (decomposition-level
-    // counterexamples: no code with the required (k, c, md) exists)
-    let mut blocked_splits: Vec<usize> = Vec::new();
-
-    'outer: loop {
+    'splits: for MapCandidate { t, map, sum_w } in ranked_maps(problem) {
         if Instant::now() >= deadline {
             return Err(SynthError::Timeout);
         }
-        let Some((map, sum_w)) = solve_map(
-            problem,
-            config,
-            &blocked_splits,
-            deadline,
-            &mut iterations,
-            &f,
-        ) else {
-            return Err(SynthError::NoSolution);
-        };
-
-        // --- matrix synthesis for the concrete split ---------------------
-        let t = map.iter().filter(|&&g| g == 0).count();
         let mut generators = Vec::with_capacity(2);
-        for (i, spec) in problem.gens.iter().enumerate() {
-            let data_len = if i == 0 { t } else { lw - t };
-            if data_len == 0 {
-                // empty generators are not representable; treat as an
-                // infeasible split
-                blocked_splits.push(t);
-                continue 'outer;
-            }
+        for (spec, data_len) in problem.gens.iter().zip([t, lw - t]) {
             let shape = ProblemShape {
                 gens: vec![GenShape {
                     data_len,
@@ -152,16 +123,11 @@ pub fn synthesize_weighted(
                     iterations += r.iterations;
                     generators.push(r.generators.into_iter().next().expect("one generator"));
                 }
-                Err(SynthError::NoSolution) => {
-                    // this split admits no generator matrix: block it and
-                    // re-run map synthesis
-                    blocked_splits.push(t);
-                    continue 'outer;
-                }
+                // this split admits no generator matrix: try the next one
+                Err(SynthError::NoSolution) => continue 'splits,
                 Err(e) => return Err(e),
             }
         }
-
         return Ok(WeightedResult {
             generators,
             map,
@@ -170,100 +136,72 @@ pub fn synthesize_weighted(
             elapsed: start.elapsed(),
         });
     }
+    Err(SynthError::NoSolution)
 }
 
-/// Phase 1: the map solver with bound descent. Returns the best map
-/// found (and its objective value), or `None` if no split meets the
-/// initial bound.
-fn solve_map(
-    problem: &WeightedProblem,
-    config: &SynthesisConfig,
-    blocked_splits: &[usize],
-    deadline: Instant,
-    iterations: &mut u64,
-    f: &impl Fn(usize, usize) -> f64,
-) -> Option<(Vec<usize>, f64)> {
+/// The optimal map for one split size.
+struct MapCandidate {
+    /// Number of bits mapped to generator 0.
+    t: usize,
+    map: Vec<usize>,
+    sum_w: f64,
+}
+
+/// `C(len_d + len_c, md) · p^md` of generator `i` protecting `len_d`
+/// bits: the objective's per-unit-weight cost of a bit mapped to it.
+fn unit_cost(problem: &WeightedProblem, i: usize, len_d: usize) -> f64 {
+    let spec = &problem.gens[i];
+    choose_times_pow(
+        len_d + spec.check_len,
+        spec.min_distance,
+        problem.bit_error_rate,
+    )
+}
+
+/// `sum_w = Σ_j w_j · f(map(j))` of a two-generator map.
+fn objective(problem: &WeightedProblem, map: &[usize]) -> f64 {
+    let t = map.iter().filter(|&&g| g == 0).count();
+    let cost = [
+        unit_cost(problem, 0, t),
+        unit_cost(problem, 1, map.len() - t),
+    ];
+    problem
+        .weights
+        .iter()
+        .zip(map)
+        .map(|(&w, &g)| w * cost[g])
+        .sum()
+}
+
+/// The map phase: the optimal map of every split `t = 1..len_w−1`
+/// that meets `initial_bound`, in ascending `(sum_w, t)` order.
+fn ranked_maps(problem: &WeightedProblem) -> Vec<MapCandidate> {
     let lw = problem.weights.len();
-    let mut s = SmtSolver::new();
-    // m[j] ⇔ bit j maps to generator 0
-    let m: Vec<Lit> = (0..lw).map(|_| s.fresh_lit()).collect();
-    let reg = s.counting_register(&m, config.card_encoding);
-    let t0 = UnaryInt::from_register(reg);
-    for &t in blocked_splits {
-        let eq = t0.eq_const(&mut s, t);
-        s.add_clause(&[!eq]);
-    }
+    let w = &problem.weights;
+    // stable sorts: equal weights stay in bit-index order
+    let mut lightest_first: Vec<usize> = (0..lw).collect();
+    lightest_first.sort_by(|&a, &b| w[a].total_cmp(&w[b]));
+    let mut heaviest_first: Vec<usize> = (0..lw).collect();
+    heaviest_first.sort_by(|&a, &b| w[b].total_cmp(&w[a]));
 
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    let mut bound = problem.initial_bound;
-
-    loop {
-        if Instant::now() >= deadline {
-            break;
-        }
-        s.push();
-        // assert sum_w ≤ bound via one guarded PB per split t
-        for t in 0..=lw {
-            let guard = t0.eq_const(&mut s, t);
-            let f0 = f(0, t);
-            let f1 = f(1, lw - t);
-            let base: f64 = problem.weights.iter().map(|w| w * f1).sum();
-            // Σ_j m_j · w_j (f0 - f1) ≤ bound - base, with sign handling
-            let mut lits = Vec::with_capacity(lw);
-            let mut coeffs = Vec::with_capacity(lw);
-            let mut rhs = (bound - base) * SCALE;
-            for (j, &w) in problem.weights.iter().enumerate() {
-                let delta = (w * (f0 - f1) * SCALE).round() as i64;
-                match delta.cmp(&0) {
-                    std::cmp::Ordering::Greater => {
-                        lits.push(m[j]);
-                        coeffs.push(delta as u64);
-                    }
-                    std::cmp::Ordering::Less => {
-                        // m·δ = δ + (¬m)·(-δ)
-                        rhs -= delta as f64;
-                        lits.push(!m[j]);
-                        coeffs.push((-delta) as u64);
-                    }
-                    std::cmp::Ordering::Equal => {}
-                }
-            }
-            if rhs < 0.0 {
-                s.add_clause(&[!guard]); // this split can never meet the bound
+    let mut ranked: Vec<MapCandidate> = (1..lw)
+        .filter_map(|t| {
+            let g0_costlier = unit_cost(problem, 0, t) > unit_cost(problem, 1, lw - t);
+            let order = if g0_costlier {
+                &lightest_first
             } else {
-                let ok = s.weighted_le_reified(&lits, &coeffs, rhs as u64);
-                s.add_clause(&[!guard, ok]);
+                &heaviest_first
+            };
+            let mut map = vec![1; lw];
+            for &j in &order[..t] {
+                map[j] = 0;
             }
-        }
-
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            s.pop();
-            break;
-        }
-        *iterations += 1;
-        let status = s.solve_with_budget(&[], Budget::with_timeout(remaining));
-        if status != SmtResult::Sat {
-            s.pop();
-            break;
-        }
-        let map: Vec<usize> = m.iter().map(|&l| usize::from(!s.model_lit(l))).collect();
-        let t = map.iter().filter(|&&g| g == 0).count();
-        let achieved: f64 = problem
-            .weights
-            .iter()
-            .zip(&map)
-            .map(|(&w, &gi)| w * f(gi, if gi == 0 { t } else { lw - t }))
-            .sum();
-        s.pop();
-        best = Some((map, achieved));
-        // tighten strictly below the achieved value (one scaled unit)
-        bound = achieved - 1.0 / SCALE;
-        if bound < 0.0 {
-            break;
-        }
-    }
-    best
+            let sum_w = objective(problem, &map);
+            (sum_w <= problem.initial_bound).then_some(MapCandidate { t, map, sum_w })
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.sum_w.total_cmp(&b.sum_w).then(a.t.cmp(&b.t)));
+    ranked
 }
 
 #[cfg(test)]
@@ -349,6 +287,127 @@ mod tests {
         let t = r.map.iter().filter(|&&g| g == 0).count();
         assert_eq!(r.generators[0].data_len(), t);
         assert_eq!(r.generators[1].data_len(), 8 - t);
+    }
+
+    fn spec(check_len: usize, min_distance: usize) -> WeightedGenSpec {
+        WeightedGenSpec {
+            check_len,
+            min_distance,
+        }
+    }
+
+    /// Per split `t`, the minimum `sum_w` over all `2^lw` maps with `t`
+    /// bits on G0 (index `t`; `t = 0` and `t = lw` stay infinite).
+    fn brute_force_by_split(problem: &WeightedProblem) -> Vec<f64> {
+        let lw = problem.weights.len();
+        let mut best = vec![f64::INFINITY; lw + 1];
+        for mask in 0u32..1 << lw {
+            let t = mask.count_ones() as usize;
+            if t == 0 || t == lw {
+                continue;
+            }
+            let map: Vec<usize> = (0..lw).map(|j| usize::from(mask >> j & 1 == 0)).collect();
+            best[t] = best[t].min(objective(problem, &map));
+        }
+        best
+    }
+
+    #[test]
+    fn ranked_maps_match_an_exhaustive_oracle() {
+        // xorshift64: the weights need variety, not statistical quality
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let ensembles = [
+            [spec(5, 3), spec(1, 2)],
+            [spec(1, 2), spec(5, 3)],
+            [spec(3, 3), spec(1, 2)],
+            [spec(4, 4), spec(2, 2)],
+        ];
+        let mut signs_seen = [false; 2];
+        for case in 0..24 {
+            let lw = [16, 12, 9, 5][case % 4];
+            // a few distinct values (ties, zeros) mixed with arbitrary reals
+            let weights: Vec<f64> = (0..lw)
+                .map(|_| match next() % 4 {
+                    0 => 0.0,
+                    1 => [1.0, 17.0, 100.0][(next() % 3) as usize],
+                    _ => (next() % 10_000) as f64 / 100.0,
+                })
+                .collect();
+            let problem = WeightedProblem {
+                weights,
+                gens: ensembles[case % ensembles.len()].to_vec(),
+                bit_error_rate: [0.1, 0.01, 0.3][case % 3],
+                initial_bound: f64::INFINITY,
+            };
+            for t in 1..lw {
+                let f0_minus_f1 = unit_cost(&problem, 0, t) - unit_cost(&problem, 1, lw - t);
+                signs_seen[usize::from(f0_minus_f1 > 0.0)] = true;
+            }
+            let oracle = brute_force_by_split(&problem);
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+
+            let ranked = ranked_maps(&problem);
+            assert_eq!(ranked.len(), lw - 1, "case {case}: one candidate per split");
+            let global = oracle.iter().copied().fold(f64::INFINITY, f64::min);
+            assert!(
+                close(ranked[0].sum_w, global),
+                "case {case}: global optimum"
+            );
+            for pair in ranked.windows(2) {
+                assert!((pair[0].sum_w, pair[0].t) <= (pair[1].sum_w, pair[1].t));
+            }
+            for c in &ranked {
+                assert_eq!(c.map.iter().filter(|&&g| g == 0).count(), c.t);
+                assert_eq!(c.sum_w, objective(&problem, &c.map));
+                assert!(
+                    close(c.sum_w, oracle[c.t]),
+                    "case {case}, t = {}: {} vs brute force {}",
+                    c.t,
+                    c.sum_w,
+                    oracle[c.t]
+                );
+            }
+        }
+        assert_eq!(signs_seen, [true, true], "f0 − f1 must take both signs");
+    }
+
+    #[test]
+    fn infeasible_splits_fall_through_to_the_best_feasible_one() {
+        // With uniform weights the objective alone prefers t = 9, which
+        // needs a [12, 9, 3] code. Three check bits reach md 3 only up
+        // to the [7, 4, 3] Hamming code, so every t > 4 is refuted.
+        let problem = WeightedProblem {
+            weights: vec![100.0; 16],
+            gens: vec![spec(3, 3), spec(1, 2)],
+            bit_error_rate: 0.1,
+            initial_bound: 1000.0,
+        };
+        let ranked = ranked_maps(&problem);
+        assert_eq!(ranked[0].t, 9);
+        let best_feasible = ranked.iter().find(|c| c.t <= 4).unwrap();
+        assert_eq!(best_feasible.t, 4);
+        let r = synthesize_weighted(&problem, &quick()).unwrap();
+        assert_eq!(r.map, best_feasible.map);
+        assert_eq!(r.sum_w, best_feasible.sum_w);
+        assert_eq!(r.generators[0].data_len(), 4);
+        assert!(distance::min_distance_exhaustive(&r.generators[0]) >= 3);
+        assert_eq!(r.generators[1].data_len(), 12);
+
+        // one check bit never reaches md 3: every split is refuted
+        let refuted = WeightedProblem {
+            gens: vec![spec(1, 3), spec(1, 2)],
+            ..problem
+        };
+        assert!(matches!(
+            synthesize_weighted(&refuted, &quick()),
+            Err(SynthError::NoSolution)
+        ));
     }
 
     #[test]

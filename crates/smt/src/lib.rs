@@ -12,8 +12,6 @@
 //! - cardinality constraints (totalizer and sequential-counter
 //!   encodings — the encoding choice is an ablation axis, see
 //!   `fec-bench/benches/card_ablation.rs`);
-//! - weighted pseudo-boolean bounds via a BDD-style DP encoding (used
-//!   for the paper's `sum_w` weighted-robustness objective);
 //! - [`UnaryInt`]: small bounded integers in monotone unary encoding
 //!   (used for symbolic check-bit counts `len_c`).
 //!
@@ -36,7 +34,6 @@
 mod card;
 mod gadgets;
 mod int;
-mod pb;
 mod solver;
 
 pub use card::CardEncoding;

@@ -7,7 +7,9 @@
 //! the affected words rather than silently corrupting them.
 
 use fec_channel::burst::GilbertElliott;
-use fec_stream::{deterministic_payload, run_adaptive, run_stream, AdaptConfig, StreamConfig};
+use fec_stream::{
+    deterministic_payload, run_adaptive, run_stream, AdaptConfig, AdaptiveOutcome, StreamConfig,
+};
 
 /// A loss rate the configured pipeline (802.3df + depth-4 interleave +
 /// 8 repair words per 16-word generation) is provisioned to beat.
@@ -140,4 +142,35 @@ fn adapted_code_beats_static_on_the_bursty_channel() {
     // …and the synthesized replacement must be a real composite code.
     assert_eq!(a.adapted.code.data_len(), 16);
     assert!(a.adapted.code.codeword_len() <= 64);
+}
+
+#[test]
+fn adaptation_is_deterministic() {
+    // No part of the adaptive run may depend on the wall clock: the
+    // same seed and payload must give the same synthesized code and the
+    // same replays.
+    let payload = deterministic_payload(16384, 1);
+    let base = StreamConfig::static_8023df(1);
+    let run = || run_adaptive(&payload, &base, &AdaptConfig::default()).expect("synthesis");
+    let (a, b) = (run(), run());
+    let generators = |o: &AdaptiveOutcome| {
+        o.adapted
+            .code
+            .segments()
+            .iter()
+            .map(|s| s.generator.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(a.adapted.map, b.adapted.map);
+    assert_eq!(generators(&a), generators(&b));
+    assert_eq!(a.adapted.sum_w.to_bits(), b.adapted.sum_w.to_bits());
+    assert_eq!(a.adapted.iterations, b.adapted.iterations);
+    assert_eq!(
+        (a.adapted.depth, a.adapted.repair),
+        (b.adapted.depth, b.adapted.repair)
+    );
+    assert_eq!(a.static_replay.stats, b.static_replay.stats);
+    assert_eq!(a.adapted_replay.stats, b.adapted_replay.stats);
+    assert_eq!(a.adapted_replay.bytes, b.adapted_replay.bytes);
+    assert_eq!(a.adapted_replay.lost_words, b.adapted_replay.lost_words);
 }

@@ -173,6 +173,9 @@ fn sec43_weighted_synthesis() {
     // optimum of the paper's objective is 192.58 (7/9 split); the
     // paper's own timeout-limited answer was 225.42 (8/8)
     assert!(r.sum_w <= 225.43);
+    let expect_map: Vec<usize> = (0..16).map(|j| usize::from(j < 9)).collect();
+    assert_eq!(r.map, expect_map, "bits 9..15 → G0");
+    assert!((r.sum_w - 192.58).abs() < 1e-2, "sum_w = {}", r.sum_w);
 }
 
 /// Fig. 5 mechanism: fewer coefficient ones ⇒ fewer sparse-kernel

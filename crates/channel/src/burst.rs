@@ -114,61 +114,54 @@ impl BlockInterleaver {
     /// position `c * rows + r`.
     pub fn interleave(&self, input: &BitVec) -> BitVec {
         assert_eq!(input.len(), self.len(), "interleave: wrong length");
-        let mut out = BitVec::zeros(self.len());
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c * self.rows + r, input.get(r * self.cols + c));
-            }
-        }
-        out
+        self.interleave_partial(input)
     }
 
     /// The inverse permutation.
     pub fn deinterleave(&self, input: &BitVec) -> BitVec {
         assert_eq!(input.len(), self.len(), "deinterleave: wrong length");
-        let mut out = BitVec::zeros(self.len());
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(r * self.cols + c, input.get(c * self.rows + r));
-            }
-        }
-        out
+        self.deinterleave_partial(input)
     }
 
     /// [`BlockInterleaver::interleave`] for a final, partially filled
-    /// block: any `input.len() ≤ rows·cols` is accepted. Output
-    /// positions are visited in channel order and positions whose
-    /// row-major source falls beyond the input are skipped, so the
-    /// result has exactly `input.len()` bits and agrees with the full
-    /// permutation when the block is exactly full.
+    /// block: any `input.len() ≤ rows·cols` is accepted. The block is
+    /// read column-major as usual, skipping the cells past the input,
+    /// so the result has exactly `input.len()` bits and agrees with
+    /// the full permutation when the block is exactly full.
+    ///
+    /// With `l = q·cols + rem` (`rem < cols`), column `c` holds `q`
+    /// input bits plus one more when `c < rem`, so row-major bit
+    /// `(r, c)` lands at `c·q + min(c, rem) + r`. Only the set bits are
+    /// moved: O(l/64 + popcount).
     pub fn interleave_partial(&self, input: &BitVec) -> BitVec {
         let l = input.len();
         assert!(l <= self.len(), "interleave_partial: input too long");
+        let (q, rem) = (l / self.cols, l % self.cols);
         let mut out = BitVec::zeros(l);
-        let mut next = 0;
-        for o in 0..self.len() {
-            let src = (o % self.rows) * self.cols + o / self.rows;
-            if src < l {
-                out.set(next, input.get(src));
-                next += 1;
-            }
+        for src in input.iter_ones() {
+            let (r, c) = (src / self.cols, src % self.cols);
+            out.set(c * q + c.min(rem) + r, true);
         }
         out
     }
 
     /// The inverse of [`BlockInterleaver::interleave_partial`]: exact
-    /// round-trip for every length up to `rows·cols`.
+    /// round-trip for every length up to `rows·cols`. Channel position
+    /// `t` lies in one of the `rem` columns of `q + 1` bits when
+    /// `t < rem·(q + 1)`, else in a later column of `q` bits.
     pub fn deinterleave_partial(&self, input: &BitVec) -> BitVec {
         let l = input.len();
         assert!(l <= self.len(), "deinterleave_partial: input too long");
+        let (q, rem) = (l / self.cols, l % self.cols);
+        let tall = rem * (q + 1);
         let mut out = BitVec::zeros(l);
-        let mut next = 0;
-        for o in 0..self.len() {
-            let src = (o % self.rows) * self.cols + o / self.rows;
-            if src < l {
-                out.set(src, input.get(next));
-                next += 1;
-            }
+        for t in input.iter_ones() {
+            let (c, r) = if t < tall {
+                (t / (q + 1), t % (q + 1))
+            } else {
+                (rem + (t - tall) / q, (t - tall) % q)
+            };
+            out.set(r * self.cols + c, true);
         }
         out
     }

@@ -1,5 +1,8 @@
 //! Property tests for `BlockInterleaver`, including the partial-block
-//! variants the streaming pipeline leans on for its final frames.
+//! variants the streaming pipeline leans on for its final frames. The
+//! closed-form index maps are pinned to the skip-scan definition of the
+//! partial permutation (`scan_interleave` / `scan_deinterleave`), not
+//! just to round-tripping, which any bijection would pass.
 
 use fec_channel::burst::BlockInterleaver;
 use fec_gf2::BitVec;
@@ -12,6 +15,77 @@ fn random_bits(rng: &mut proptest::TestRng, len: usize) -> BitVec {
         }
     }
     v
+}
+
+/// The partial interleave by definition: visit the full block's
+/// channel positions in order, skip those whose row-major source lies
+/// past the input, and copy bit by bit.
+fn scan_interleave(rows: usize, cols: usize, input: &BitVec) -> BitVec {
+    let l = input.len();
+    let mut out = BitVec::zeros(l);
+    let mut next = 0;
+    for o in 0..rows * cols {
+        let src = (o % rows) * cols + o / rows;
+        if src < l {
+            out.set(next, input.get(src));
+            next += 1;
+        }
+    }
+    out
+}
+
+/// The inverse of [`scan_interleave`], by the same scan.
+fn scan_deinterleave(rows: usize, cols: usize, input: &BitVec) -> BitVec {
+    let l = input.len();
+    let mut out = BitVec::zeros(l);
+    let mut next = 0;
+    for o in 0..rows * cols {
+        let src = (o % rows) * cols + o / rows;
+        if src < l {
+            out.set(src, input.get(next));
+            next += 1;
+        }
+    }
+    out
+}
+
+#[test]
+fn partial_matches_the_scan_oracle_at_every_length() {
+    let mut rng = proptest::TestRng::deterministic("interleaver_scan_oracle");
+    for _ in 0..60 {
+        let rows = 1 + rng.below(9) as usize;
+        let cols = 1 + rng.below(40) as usize;
+        let il = BlockInterleaver::new(rows, cols);
+        for len in 0..=il.len() {
+            let v = random_bits(&mut rng, len);
+            let what = format!("{rows}x{cols} len {len}");
+            assert_eq!(
+                il.interleave_partial(&v),
+                scan_interleave(rows, cols, &v),
+                "{what}"
+            );
+            assert_eq!(
+                il.deinterleave_partial(&v),
+                scan_deinterleave(rows, cols, &v),
+                "{what}"
+            );
+        }
+    }
+    // the pipeline's shape: 802.3df frames, depth 4, every partial fill
+    let il = BlockInterleaver::new(4, 128);
+    for len in 0..=il.len() {
+        let v = random_bits(&mut rng, len);
+        assert_eq!(
+            il.interleave_partial(&v),
+            scan_interleave(4, 128, &v),
+            "len {len}"
+        );
+        assert_eq!(
+            il.deinterleave_partial(&v),
+            scan_deinterleave(4, 128, &v),
+            "len {len}"
+        );
+    }
 }
 
 #[test]

@@ -45,6 +45,23 @@ impl BitVec {
         v
     }
 
+    /// Builds a `len`-bit vector from packed words laid out as in
+    /// [`BitVec::words`]; bits past `len` in the last word are cleared.
+    ///
+    /// # Panics
+    /// Panics unless `words.len() == len.div_ceil(64)`.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(WORD_BITS),
+            "from_words: {len} bits need {} words",
+            len.div_ceil(WORD_BITS)
+        );
+        let mut v = BitVec { words, len };
+        v.mask_tail();
+        v
+    }
+
     /// Builds a `len`-bit vector from the low bits of `value`
     /// (bit `i` of the vector = bit `i` of `value`).
     ///
@@ -52,23 +69,15 @@ impl BitVec {
     /// Panics if `len > 128`.
     pub fn from_u128(value: u128, len: usize) -> Self {
         assert!(len <= 128, "from_u128 supports at most 128 bits");
-        let mut v = Self::zeros(len);
-        for i in 0..len {
-            v.set(i, (value >> i) & 1 == 1);
-        }
-        v
+        let words = [value as u64, (value >> WORD_BITS) as u64];
+        Self::from_words(words[..len.div_ceil(WORD_BITS)].to_vec(), len)
     }
 
     /// Interprets the first `min(len, 128)` bits as an integer,
     /// bit `i` of the vector at bit `i` of the result.
     pub fn to_u128(&self) -> u128 {
-        let mut out = 0u128;
-        for i in 0..self.len.min(128) {
-            if self.get(i) {
-                out |= 1 << i;
-            }
-        }
-        out
+        let word = |i: usize| u128::from(self.words.get(i).copied().unwrap_or(0));
+        word(0) | word(1) << WORD_BITS
     }
 
     /// Parses a string of `0`/`1` characters (index 0 first).
@@ -193,14 +202,30 @@ impl BitVec {
         (0..self.len).map(|i| self.get(i)).collect()
     }
 
+    /// The 64 bits starting at bit `start`, bit `start + i` at bit `i`
+    /// of the result; bits past `len` read as zero.
+    #[inline]
+    pub fn bits_at(&self, start: usize) -> u64 {
+        let (wi, sh) = (start / WORD_BITS, start % WORD_BITS);
+        let lo = self.words.get(wi).map_or(0, |&w| w >> sh);
+        match self.words.get(wi + 1) {
+            Some(&hi) if sh != 0 => lo | hi << (WORD_BITS - sh),
+            _ => lo,
+        }
+    }
+
     /// Concatenates `other` after `self`.
     pub fn concat(&self, other: &BitVec) -> BitVec {
         let mut out = BitVec::zeros(self.len + other.len);
-        for i in 0..self.len {
-            out.set(i, self.get(i));
-        }
-        for i in 0..other.len {
-            out.set(self.len + i, other.get(i));
+        out.words[..self.words.len()].copy_from_slice(&self.words);
+        let (wi, sh) = (self.len / WORD_BITS, self.len % WORD_BITS);
+        for (j, &w) in other.words.iter().enumerate() {
+            out.words[wi + j] |= w << sh;
+            if sh != 0 {
+                if let Some(next) = out.words.get_mut(wi + j + 1) {
+                    *next |= w >> (WORD_BITS - sh);
+                }
+            }
         }
         out
     }
@@ -208,11 +233,11 @@ impl BitVec {
     /// The sub-vector of bits `range.start .. range.end`.
     pub fn slice(&self, range: std::ops::Range<usize>) -> BitVec {
         assert!(range.end <= self.len, "slice out of range");
-        let mut out = BitVec::zeros(range.len());
-        for (j, i) in range.enumerate() {
-            out.set(j, self.get(i));
-        }
-        out
+        let len = range.len();
+        let words = (0..len.div_ceil(WORD_BITS))
+            .map(|j| self.bits_at(range.start + j * WORD_BITS))
+            .collect();
+        BitVec::from_words(words, len)
     }
 
     /// Underlying packed words (tail bits beyond `len` are zero).
@@ -367,6 +392,137 @@ mod tests {
     fn parity_matches_count() {
         let v = BitVec::from_bitstring("1110001").unwrap();
         assert_eq!(v.parity(), v.count_ones() % 2 == 1);
+    }
+
+    // -- word-level operations against bit-by-bit oracles ----------
+
+    fn random_bits(rng: &mut proptest::TestRng, len: usize) -> BitVec {
+        let bools: Vec<bool> = (0..len).map(|_| rng.below(2) == 1).collect();
+        BitVec::from_bools(&bools)
+    }
+
+    /// The packing and tail-zero invariants, checked bit by bit: the
+    /// word count fits `len` and the words hold exactly the bits that
+    /// `get` reads, nothing past `len`.
+    fn assert_invariants(v: &BitVec) {
+        assert_eq!(v.words().len(), v.len().div_ceil(64), "word count");
+        let ones = (0..v.len()).filter(|&i| v.get(i)).count();
+        assert_eq!(v.count_ones(), ones, "tail bits must stay zero");
+    }
+
+    fn oracle_slice(v: &BitVec, range: std::ops::Range<usize>) -> BitVec {
+        let mut out = BitVec::zeros(range.len());
+        for (j, i) in range.enumerate() {
+            out.set(j, v.get(i));
+        }
+        out
+    }
+
+    fn oracle_concat(a: &BitVec, b: &BitVec) -> BitVec {
+        let mut out = BitVec::zeros(a.len() + b.len());
+        for i in 0..a.len() {
+            out.set(i, a.get(i));
+        }
+        for i in 0..b.len() {
+            out.set(a.len() + i, b.get(i));
+        }
+        out
+    }
+
+    #[test]
+    fn slice_matches_oracle_on_every_range() {
+        // every start ≤ end ≤ 200 on a random and an all-ones vector:
+        // ranges begin and end on either side of the 64/128/192 word
+        // boundaries, and include every empty range
+        let mut rng = proptest::TestRng::deterministic("bitvec_slice");
+        for v in [random_bits(&mut rng, 200), BitVec::ones(200)] {
+            for start in 0..=200 {
+                for end in start..=200 {
+                    let s = v.slice(start..end);
+                    assert_eq!(s, oracle_slice(&v, start..end), "{start}..{end}");
+                    assert_invariants(&s);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concat_matches_oracle_at_every_length_pair() {
+        let mut rng = proptest::TestRng::deterministic("bitvec_concat");
+        for la in 0..=130 {
+            for lb in 0..=130 {
+                let (a, b) = (random_bits(&mut rng, la), random_bits(&mut rng, lb));
+                let c = a.concat(&b);
+                assert_eq!(c, oracle_concat(&a, &b), "{la} + {lb}");
+                assert_invariants(&c);
+                let o = BitVec::ones(la).concat(&BitVec::ones(lb));
+                assert_eq!(o, BitVec::ones(la + lb), "ones {la} + {lb}");
+                assert_invariants(&o);
+            }
+        }
+    }
+
+    #[test]
+    fn u128_pair_matches_oracle_at_every_length() {
+        let mut rng = proptest::TestRng::deterministic("bitvec_u128");
+        for len in 0..=128 {
+            for value in [
+                u128::MAX,
+                0,
+                u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()),
+            ] {
+                let v = BitVec::from_u128(value, len);
+                assert_eq!(v.len(), len);
+                for i in 0..len {
+                    assert_eq!(v.get(i), value >> i & 1 == 1, "len {len} bit {i}");
+                }
+                assert_invariants(&v);
+                let low = if len == 128 {
+                    value
+                } else {
+                    value & ((1 << len) - 1)
+                };
+                assert_eq!(v.to_u128(), low, "len {len}");
+            }
+        }
+        // longer vectors: only the first 128 bits are read
+        for len in [129, 191, 192, 300] {
+            let v = random_bits(&mut rng, len);
+            let expect = (0..128).fold(0u128, |acc, i| acc | u128::from(v.get(i)) << i);
+            assert_eq!(v.to_u128(), expect, "len {len}");
+        }
+    }
+
+    #[test]
+    fn from_words_packs_like_from_bools_and_clears_the_tail() {
+        let mut rng = proptest::TestRng::deterministic("bitvec_from_words");
+        for len in 0..=200usize {
+            let words: Vec<u64> = (0..len.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            let v = BitVec::from_words(words.clone(), len);
+            let bools: Vec<bool> = (0..len)
+                .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
+                .collect();
+            assert_eq!(v, BitVec::from_bools(&bools), "len {len}");
+            assert_invariants(&v);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "from_words")]
+    fn from_words_checks_the_word_count() {
+        BitVec::from_words(vec![0; 2], 64);
+    }
+
+    #[test]
+    fn bits_at_reads_sixty_four_bits_past_any_offset() {
+        let mut rng = proptest::TestRng::deterministic("bitvec_bits_at");
+        let v = random_bits(&mut rng, 200);
+        for start in 0..=210 {
+            let expect = (0..64)
+                .filter(|&i| start + i < 200 && v.get(start + i))
+                .fold(0u64, |acc, i| acc | 1 << i);
+            assert_eq!(v.bits_at(start), expect, "start {start}");
+        }
     }
 
     proptest! {

@@ -10,6 +10,7 @@
 //! §4.3 weighted spec needs (`BurstProfile::to_weighted_problem`), so
 //! the observed channel closes the loop back into CEGIS.
 
+use fec_gf2::BitVec;
 use fec_synth::weights::{WeightedGenSpec, WeightedProblem};
 
 /// Positions fold into this many buckets before any word-length fold;
@@ -85,15 +86,40 @@ impl BurstProfile {
     /// contiguous with the previous call, so bursts may span calls.
     pub fn observe(&mut self, errors: impl IntoIterator<Item = bool>) {
         for e in errors {
-            let pos = (self.bits_observed % POS_BUCKETS as u64) as usize;
-            self.bits_observed += 1;
             if e {
-                self.bit_errors += 1;
-                self.position_errors[pos] += 1;
-                self.open_run += 1;
+                self.observe_error();
             } else {
-                self.close_run();
+                self.observe_clean(1);
             }
+        }
+    }
+
+    /// [`BurstProfile::observe`] over a packed channel-order error
+    /// vector, in O(len/64 + errors): each stretch of error-free bits
+    /// is one clean-run step.
+    pub(crate) fn observe_bits(&mut self, errors: &BitVec) {
+        let mut at = 0;
+        for o in errors.iter_ones() {
+            self.observe_clean((o - at) as u64);
+            self.observe_error();
+            at = o + 1;
+        }
+        self.observe_clean((errors.len() - at) as u64);
+    }
+
+    fn observe_error(&mut self) {
+        let pos = (self.bits_observed % POS_BUCKETS as u64) as usize;
+        self.bits_observed += 1;
+        self.bit_errors += 1;
+        self.position_errors[pos] += 1;
+        self.open_run += 1;
+    }
+
+    /// `len` error-free bits: any open run ends.
+    fn observe_clean(&mut self, len: u64) {
+        if len > 0 {
+            self.close_run();
+            self.bits_observed += len;
         }
     }
 
@@ -297,6 +323,66 @@ mod tests {
         p.discontinuity();
         assert_eq!(p.bursts, 2);
         assert_eq!(p.run_hist[1], 1); // the trailing length-2 run
+    }
+
+    /// A sparse, bursty error pattern: short bursts at a low rate, with
+    /// the first and last bit forced to an error now and then so runs
+    /// start and end exactly at call boundaries.
+    fn sparse_pattern(rng: &mut proptest::TestRng, len: usize) -> Vec<bool> {
+        let mut bits = vec![false; len];
+        let mut i = 0;
+        while i < len {
+            if rng.below(40) == 0 {
+                let burst = 1 + rng.below(8) as usize;
+                bits[i..len.min(i + burst)].fill(true);
+                i += burst;
+            }
+            i += 1;
+        }
+        if len > 0 && rng.below(3) == 0 {
+            bits[0] = true;
+        }
+        if len > 0 && rng.below(3) == 0 {
+            bits[len - 1] = true;
+        }
+        bits
+    }
+
+    #[test]
+    fn sparse_feed_matches_bit_by_bit_observe() {
+        let mut rng = proptest::TestRng::deterministic("profile_sparse_feed");
+        // (run spans a call boundary, run ends exactly at one, trailing
+        // open run at the end, discontinuity between calls)
+        let mut seen = [0usize; 4];
+        for _ in 0..400 {
+            let (mut dense, mut sparse) = (BurstProfile::new(), BurstProfile::new());
+            let mut prev_last = false;
+            for _ in 0..1 + rng.below(6) {
+                let len = rng.below(300) as usize;
+                let bits = sparse_pattern(&mut rng, len);
+                if let (Some(&first), true) = (bits.first(), prev_last) {
+                    seen[usize::from(!first)] += 1;
+                }
+                dense.observe(bits.iter().copied());
+                sparse.observe_bits(&BitVec::from_bools(&bits));
+                if len > 0 {
+                    prev_last = bits[len - 1];
+                }
+                if rng.below(4) == 0 {
+                    seen[3] += usize::from(prev_last);
+                    dense.discontinuity();
+                    sparse.discontinuity();
+                    prev_last = false;
+                }
+                assert_eq!(format!("{dense:?}"), format!("{sparse:?}"));
+            }
+            seen[2] += usize::from(prev_last);
+            assert_eq!(dense.bursts_observed(), sparse.bursts_observed());
+            dense.finish();
+            sparse.finish();
+            assert_eq!(format!("{dense:?}"), format!("{sparse:?}"));
+        }
+        assert!(seen.iter().all(|&n| n > 0), "scenario coverage {seen:?}");
     }
 
     #[test]

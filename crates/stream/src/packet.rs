@@ -36,21 +36,19 @@ impl Packetizer {
 
     /// Splits `bytes` into data words (last one zero-padded).
     pub fn packetize(&self, bytes: &[u8]) -> Vec<BitVec> {
-        let total = 8 * bytes.len();
-        let mut words = Vec::with_capacity(self.words_for(bytes.len()));
-        let mut pos = 0;
-        while pos < total {
-            let mut w = BitVec::zeros(self.word_len);
-            for i in 0..self.word_len.min(total - pos) {
-                let bit = pos + i;
-                if bytes[bit / 8] >> (bit % 8) & 1 == 1 {
-                    w.set(i, true);
-                }
-            }
-            words.push(w);
-            pos += self.word_len;
+        let count = self.words_for(bytes.len());
+        let bits = count * self.word_len;
+        // the stream's packed words, zero past the last byte
+        let mut words = vec![0u64; bits.div_ceil(64)];
+        for (w, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
+            let mut le = [0u8; 8];
+            le[..chunk.len()].copy_from_slice(chunk);
+            *w = u64::from_le_bytes(le);
         }
-        words
+        let stream = BitVec::from_words(words, bits);
+        (0..count)
+            .map(|j| stream.slice(j * self.word_len..(j + 1) * self.word_len))
+            .collect()
     }
 
     /// Reassembles `byte_len` bytes from data words, dropping the

@@ -8,6 +8,16 @@
 //! sender-side truth is used solely to *audit* the outcome (the
 //! `corrupted_words` count — deliveries the receiver wrongly trusted).
 //!
+//! The datapath works on packed words, not bits. The channel draws
+//! each interleaver block's error pattern in channel order, on an
+//! all-zero block, and the pattern is deinterleaved and XORed onto the
+//! codewords. The channel's draws and flips do not depend on the bits
+//! sent, so this delivers exactly the frames that transmitting the
+//! interleaved codewords would. The interleaver moves only set bits,
+//! so the cost follows the number of errors, not the stream length.
+//! The estimator re-encodes only erased frames whose truth was
+//! recovered: an accepted frame re-encodes to exactly what arrived.
+//!
 //! Every stage is allocation-light and memory-ordering-free: frames
 //! are processed strictly in sequence, the only cross-frame state is
 //! the Gilbert–Elliott channel state and the interleaver's block
@@ -116,8 +126,9 @@ impl InnerKernel {
         match self {
             InnerKernel::Single { kernel, k, n } => {
                 debug_assert_eq!(word.len(), *n);
-                let expect = kernel.encode_checks_wide(word.slice(0..*k).words());
-                expect == word.slice(*k..*n).to_u128() as u64
+                // the kernel reads only the data bits 0..k; the check
+                // bits follow them
+                kernel.encode_checks_wide(word.words()) == word.bits_at(*k)
             }
             InnerKernel::Composite { kernel, n, .. } => {
                 debug_assert_eq!(word.len(), *n);
@@ -233,6 +244,16 @@ pub struct StreamOutcome {
     pub profile: BurstProfile,
 }
 
+/// What the receiver knows of one frame's channel errors.
+enum FrameErrors {
+    /// Accepted by the inner code: the error vector is zero.
+    Clean,
+    /// Erased, truth reconstructed: the error vector.
+    Seen(BitVec),
+    /// Erased and never reconstructed.
+    Unknown,
+}
+
 enum FrameKind {
     /// Data word with this stream-wide index.
     Data(usize),
@@ -282,31 +303,26 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     }
 
     // --- inner encode (minimized kernels) + interleave + channel ---
-    let codewords: Vec<BitVec> = frames.iter().map(|w| kernel.encode(w)).collect();
+    // The channel's flips and random draws do not depend on the bits
+    // sent, so each block's error pattern is drawn on an all-zero
+    // channel-order block and deinterleaved onto the codewords: the
+    // same RNG stream and the same received frames as transmitting
+    // the interleaved codewords themselves.
+    let mut received: Vec<BitVec> = frames.iter().map(|w| kernel.encode(w)).collect();
     let depth = cfg.depth.max(1);
     let il = BlockInterleaver::new(depth, n);
     let mut ge_state = GeState::Good;
     let mut rng = SmallRng::seed_from_u64(channel_seed);
-    let mut received: Vec<BitVec> = Vec::with_capacity(frames.len());
     let mut blocks: Vec<(usize, usize)> = Vec::new(); // (first frame, count)
     let mut flips = 0u64;
-    let mut start = 0;
-    while start < codewords.len() {
-        let count = depth.min(codewords.len() - start);
-        let mut logical = BitVec::zeros(count * n);
-        for (f, cw) in codewords[start..start + count].iter().enumerate() {
-            for i in cw.iter_ones() {
-                logical.set(f * n + i, true);
-            }
-        }
-        let mut tx = il.interleave_partial(&logical);
-        flips += cfg.channel.transmit(&mut rng, &mut ge_state, &mut tx) as u64;
-        let rx = il.deinterleave_partial(&tx);
-        for f in 0..count {
-            received.push(rx.slice(f * n..(f + 1) * n));
+    for start in (0..received.len()).step_by(depth) {
+        let count = depth.min(received.len() - start);
+        let mut errors = BitVec::zeros(count * n);
+        flips += cfg.channel.transmit(&mut rng, &mut ge_state, &mut errors) as u64;
+        for p in il.deinterleave_partial(&errors).iter_ones() {
+            received[start + p / n].flip(p % n);
         }
         blocks.push((start, count));
-        start += count;
     }
 
     // --- receiver: detect-and-erase, then fountain recovery --------
@@ -356,81 +372,89 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     }
 
     // --- decoder-side burst estimation -----------------------------
-    // Truth per frame, from receiver knowledge only: frames the inner
-    // code accepted are trusted as-is; erased data frames use their
-    // fountain-recovered word; erased repair frames are recomputed
-    // from their mask once the whole subset is known. Frames that stay
+    // Each frame's error vector, from receiver knowledge only. A frame
+    // the inner code accepted re-encodes to exactly what was received,
+    // so its error vector is zero. An erased data frame's truth is its
+    // fountain-recovered word; an erased repair frame's is recomputed
+    // from its mask once the whole subset is known. Frames that stay
     // unknown become gaps in the channel-order view.
-    let mut truth_words: Vec<Option<BitVec>> = rx_words.clone();
-    for fi in 0..frames.len() {
-        if truth_words[fi].is_some() {
-            continue;
-        }
-        truth_words[fi] = match kinds[fi] {
-            FrameKind::Data(j) => delivered[j].clone(),
-            FrameKind::Repair(g, r) => {
-                let base = g * cfg.gen_size;
-                let chunk_len = d.min(base + cfg.gen_size) - base;
-                let mask = repair_mask(chunk_len, mask_seed, g as u64, r);
-                let mut acc = BitVec::zeros(k);
-                let mut complete = true;
-                for i in 0..chunk_len {
-                    if mask >> i & 1 == 1 {
-                        match &delivered[base + i] {
-                            Some(w) => acc ^= w,
-                            None => {
-                                complete = false;
-                                break;
+    let frame_errors: Vec<FrameErrors> = (0..frames.len())
+        .map(|fi| {
+            if rx_words[fi].is_some() {
+                return FrameErrors::Clean;
+            }
+            let truth = match kinds[fi] {
+                FrameKind::Data(j) => delivered[j].clone(),
+                FrameKind::Repair(g, r) => {
+                    let base = g * cfg.gen_size;
+                    let chunk_len = d.min(base + cfg.gen_size) - base;
+                    let mask = repair_mask(chunk_len, mask_seed, g as u64, r);
+                    let mut acc = BitVec::zeros(k);
+                    let mut complete = true;
+                    for i in 0..chunk_len {
+                        if mask >> i & 1 == 1 {
+                            match &delivered[base + i] {
+                                Some(w) => acc ^= w,
+                                None => {
+                                    complete = false;
+                                    break;
+                                }
                             }
                         }
                     }
+                    complete.then_some(acc)
                 }
-                complete.then_some(acc)
+            };
+            match truth {
+                Some(word) => {
+                    let mut e = kernel.encode(&word);
+                    e ^= &received[fi];
+                    FrameErrors::Seen(e)
+                }
+                None => FrameErrors::Unknown,
             }
-        };
-    }
+        })
+        .collect();
     let mut profile = BurstProfile::new();
     profile.frame_bits = n as u64;
     // Frame-order erasure evidence first: the syndrome verdict is
     // known for every frame, so this channel has no survivorship bias
     // even when recovery fails. Reconstructed erased frames also yield
     // the conditional in-frame error density the design BER needs.
-    for fi in 0..frames.len() {
-        let erased = rx_words[fi].is_none();
-        profile.observe_frame(erased);
-        if erased {
-            match &truth_words[fi] {
-                Some(word) => {
-                    let mut e = kernel.encode(word);
-                    e ^= &received[fi];
-                    profile.erased_truth_frames += 1;
-                    profile.erased_truth_flips += e.count_ones() as u64;
-                }
-                None => profile.unknown_frames += 1,
+    for (fi, errors) in frame_errors.iter().enumerate() {
+        profile.observe_frame(rx_words[fi].is_none());
+        match errors {
+            FrameErrors::Clean => {}
+            FrameErrors::Seen(e) => {
+                profile.erased_truth_frames += 1;
+                profile.erased_truth_flips += e.count_ones() as u64;
             }
+            FrameErrors::Unknown => profile.unknown_frames += 1,
         }
     }
+    // Then the bit-level view, block by block in channel order: fully
+    // known blocks in O(errors), blocks with unknown frames bit by bit
+    // with their gaps.
     for &(first, count) in &blocks {
+        let block = &frame_errors[first..first + count];
         let mut err = BitVec::zeros(count * n);
-        let mut known = BitVec::zeros(count * n);
-        for f in 0..count {
-            let fi = first + f;
-            // known word → re-encode for the true codeword
-            if let Some(word) = &truth_words[fi] {
-                let truth = kernel.encode(word);
-                let mut e = truth.clone();
-                e ^= &received[fi];
+        for (f, errors) in block.iter().enumerate() {
+            if let FrameErrors::Seen(e) = errors {
                 for i in e.iter_ones() {
                     err.set(f * n + i, true);
-                }
-                for i in 0..n {
-                    known.set(f * n + i, true);
                 }
             }
         }
         let err_ch = il.interleave_partial(&err);
-        let known_ch = il.interleave_partial(&known);
-        profile.observe_gapped((0..count * n).map(|o| known_ch.get(o).then(|| err_ch.get(o))));
+        if block.iter().all(|e| !matches!(e, FrameErrors::Unknown)) {
+            profile.observe_bits(&err_ch);
+        } else {
+            let known: Vec<bool> = (0..count * n)
+                .map(|p| !matches!(block[p / n], FrameErrors::Unknown))
+                .collect();
+            let known_ch = il.interleave_partial(&BitVec::from_bools(&known));
+            profile.observe_gapped((0..count * n).map(|o| known_ch.get(o).then(|| err_ch.get(o))));
+        }
     }
     profile.finish();
 

@@ -10,7 +10,7 @@
 //! behind the inner Hamming code.
 
 use fec_gf2::BitVec;
-use rand::{Rng, RngExt};
+use rand::Rng;
 
 /// A two-state Gilbert–Elliott channel.
 #[derive(Clone, Copy, Debug)]
@@ -57,31 +57,45 @@ impl GilbertElliott {
 
     /// Transmits `word` in place, evolving `state`. Returns the number
     /// of flips.
+    ///
+    /// Each bit takes two draws, an error draw and then a transition
+    /// draw, each the comparison `u < p` of a uniform `f64` sample
+    /// against the current state's probability. Both are made on the
+    /// integer the sample comes from (see [`draw_threshold`]), with
+    /// the same outcome.
     pub fn transmit<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         state: &mut GeState,
         word: &mut BitVec,
     ) -> usize {
+        // indexed by state: 0 = Good, 1 = Bad
+        let ber = [self.ber_good, self.ber_bad].map(draw_threshold);
+        let leave = [self.p_gb, self.p_bg].map(draw_threshold);
+        let mut s = usize::from(*state == GeState::Bad);
         let mut flips = 0;
         for i in 0..word.len() {
-            let (ber, p_leave) = match state {
-                GeState::Good => (self.ber_good, self.p_gb),
-                GeState::Bad => (self.ber_bad, self.p_bg),
-            };
-            if rng.random::<f64>() < ber {
+            if rng.next_u64() >> 11 < ber[s] {
                 word.flip(i);
                 flips += 1;
             }
-            if rng.random::<f64>() < p_leave {
-                *state = match state {
-                    GeState::Good => GeState::Bad,
-                    GeState::Bad => GeState::Good,
-                };
+            if rng.next_u64() >> 11 < leave[s] {
+                s ^= 1;
             }
         }
+        *state = if s == 1 { GeState::Bad } else { GeState::Good };
         flips
     }
+}
+
+/// The integer form of the draw `u < p`. The `f64` sample is
+/// `u = y·2^-53` with `y = next_u64() >> 11`, and both that product
+/// and `p·2^53` are exact (scaling by a power of two), so
+/// `y·2^-53 < p ⟺ y < ⌈p·2^53⌉` for every integer `y`. The cast
+/// saturates, which keeps `p ≤ 0` and NaN never true and `p ≥ 1`
+/// always true, as in the `f64` comparison.
+fn draw_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A rows × cols block interleaver: write row-major, read column-major,
@@ -227,6 +241,98 @@ mod tests {
             adjacent as f64 > independent_expectation * 10.0,
             "adjacent {adjacent} vs independent {independent_expectation} (total flips {total})"
         );
+    }
+
+    /// An RNG that replays a fixed list of raw draws.
+    struct Replay(std::vec::IntoIter<u64>);
+
+    impl Rng for Replay {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("replay exhausted")
+        }
+    }
+
+    #[test]
+    fn integer_draws_match_f64_draws() {
+        use rand::RngExt;
+        let ulp = f64::EPSILON / 2.0; // 2^-53
+        let mut ps = vec![0.0, 1.0, ulp, 3.0 * ulp, 0.25, 1e-4, 0.001, 0.1, 0.3];
+        for m in [3.0 * ulp, 0.25, 0.5] {
+            ps.extend([
+                f64::from_bits(m.to_bits() - 1),
+                f64::from_bits(m.to_bits() + 1),
+            ]);
+        }
+        for p in ps {
+            let t = draw_threshold(p);
+            // the raw draws on either side of the threshold, with
+            // junk in the 11 bits the sample drops, then a random tail
+            let mut raw: Vec<u64> = [0, 1, t.saturating_sub(1), t, t + 1, (1 << 53) - 1]
+                .iter()
+                .filter(|&&y| y < 1 << 53)
+                .flat_map(|&y| [y << 11, y << 11 | 0x7FF])
+                .collect();
+            let mut rng = SmallRng::seed_from_u64(p.to_bits());
+            raw.extend((0..10_000).map(|_| rng.next_u64()));
+            let mut float = Replay(raw.clone().into_iter());
+            for &x in &raw {
+                assert_eq!(
+                    float.random::<f64>() < p,
+                    x >> 11 < t,
+                    "p = {p:e}, draw {x:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn transmit_matches_the_f64_reference() {
+        use rand::RngExt;
+        fn reference(
+            ge: &GilbertElliott,
+            rng: &mut SmallRng,
+            state: &mut GeState,
+            word: &mut BitVec,
+        ) -> usize {
+            let mut flips = 0;
+            for i in 0..word.len() {
+                let (ber, p_leave) = match state {
+                    GeState::Good => (ge.ber_good, ge.p_gb),
+                    GeState::Bad => (ge.ber_bad, ge.p_bg),
+                };
+                if rng.random::<f64>() < ber {
+                    word.flip(i);
+                    flips += 1;
+                }
+                if rng.random::<f64>() < p_leave {
+                    *state = match state {
+                        GeState::Good => GeState::Bad,
+                        GeState::Bad => GeState::Good,
+                    };
+                }
+            }
+            flips
+        }
+        let heavy = GilbertElliott {
+            p_gb: 0.05,
+            p_bg: 0.2,
+            ber_good: 0.01,
+            ber_bad: 0.5,
+        };
+        for ge in [GilbertElliott::bursty(), heavy] {
+            let (mut a, mut b) = (SmallRng::seed_from_u64(9), SmallRng::seed_from_u64(9));
+            let (mut sa, mut sb) = (GeState::Good, GeState::Good);
+            for len in [0, 1, 63, 64, 65, 512, 4096] {
+                let mut wa = BitVec::zeros(len);
+                let mut wb = BitVec::zeros(len);
+                assert_eq!(
+                    ge.transmit(&mut a, &mut sa, &mut wa),
+                    reference(&ge, &mut b, &mut sb, &mut wb)
+                );
+                assert_eq!((wa, sa), (wb, sb));
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "same number of draws");
+        }
     }
 
     #[test]

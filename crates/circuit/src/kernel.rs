@@ -9,6 +9,16 @@
 //! is exactly `inputs` loads plus `xor_count` XORs — the §4.4 cost
 //! model, executed literally.
 //!
+//! The same op list also runs *bitsliced*: the batch entry points
+//! transpose up to 64 packed frames with an in-place 64×64 bit-matrix
+//! transpose, so that bit `f` of input slot `i` is input `i` of frame
+//! `f`, and run the op loop once. Each XOR then serves 64 frames, so
+//! the per-64-frame cost is `xor_count` XORs plus one transpose per
+//! 64 input bits (and one more for the check lanes when encoding).
+//! Scalar and batch evaluation share the op loop and differ only in
+//! how they load and store lanes, so the batch path runs exactly the
+//! op list the minimizer certified.
+//!
 //! The intended construction path is [`CircuitKernel::minimized`],
 //! which runs the certified CSE minimizer and therefore inherits its
 //! guarantee: the compiled op list is provably equivalent to the
@@ -19,6 +29,7 @@
 
 use crate::ir::{Circuit, Node, Output};
 use crate::minimize::minimize;
+use fec_gf2::BitVec;
 use fec_hamming::{CompositeCode, Generator};
 
 /// Output slot marker for a constant-zero binding.
@@ -115,17 +126,35 @@ impl CircuitKernel {
         self.ops.len()
     }
 
-    fn run(&mut self) -> u64 {
+    /// The one op loop. Scalar evaluation loads one data bit per
+    /// input slot and reads bit 0 of each output; bitsliced
+    /// evaluation loads one frame per bit and reads whole lanes.
+    fn eval(&mut self) {
         for (i, &(a, b)) in self.ops.iter().enumerate() {
             self.vals[self.inputs + i] = self.vals[a as usize] ^ self.vals[b as usize];
         }
-        let mut out = 0u64;
-        for (j, &s) in self.outs.iter().enumerate() {
-            if s != ZERO {
-                out |= (self.vals[s as usize] & 1) << j;
-            }
+    }
+
+    /// The value of output `j` after [`CircuitKernel::eval`].
+    fn out_lane(&self, j: usize) -> u64 {
+        match self.outs[j] {
+            ZERO => 0,
+            s => self.vals[s as usize],
         }
-        out
+    }
+
+    /// Loads input slot `i` with `lane(i)` for every input and runs
+    /// the op loop.
+    fn eval_with(&mut self, lane: impl Fn(usize) -> u64) {
+        for (i, v) in self.vals[..self.inputs].iter_mut().enumerate() {
+            *v = lane(i);
+        }
+        self.eval();
+    }
+
+    /// Packs bit 0 of every output into a check word.
+    fn scalar_checks(&self) -> u64 {
+        (0..self.outs.len()).fold(0, |acc, j| acc | (self.out_lane(j) & 1) << j)
     }
 
     /// Encodes the check bits for a `k ≤ 64` data word (bit `i` of
@@ -135,20 +164,92 @@ impl CircuitKernel {
     /// Panics if the circuit has more than 64 inputs.
     pub fn encode_checks(&mut self, data: u64) -> u64 {
         assert!(self.inputs <= 64, "encode_checks: use encode_checks_wide");
-        for i in 0..self.inputs {
-            self.vals[i] = (data >> i) & 1;
-        }
-        self.run()
+        self.eval_with(|i| (data >> i) & 1);
+        self.scalar_checks()
     }
 
     /// Encodes the check bits for a wide data word packed as in
     /// `Circuit::eval` / `BitVec::words()`: input `i` is bit `i % 64`
     /// of `data[i / 64]`; missing words read as zero.
     pub fn encode_checks_wide(&mut self, data: &[u64]) -> u64 {
-        for i in 0..self.inputs {
-            self.vals[i] = data.get(i / 64).map_or(0, |w| (w >> (i % 64)) & 1);
+        self.eval_with(|i| data.get(i / 64).map_or(0, |w| (w >> (i % 64)) & 1));
+        self.scalar_checks()
+    }
+
+    /// Bitsliced load of up to 64 packed frames: input slot `i` gets
+    /// bit `i` of every frame (bit `f` of the lane from `frames[f]`),
+    /// and `tail[j]` gets bit `inputs + j` the same way. Bits further
+    /// out are ignored; missing words read as zero.
+    fn load_batch(&mut self, frames: &[BitVec], tail: &mut [u64]) {
+        assert!(frames.len() <= 64, "a batch holds at most 64 frames");
+        let width = self.inputs + tail.len();
+        for w in 0..width.div_ceil(64) {
+            let mut block = [0u64; 64];
+            for (row, frame) in block.iter_mut().zip(frames) {
+                *row = frame.words().get(w).copied().unwrap_or(0);
+            }
+            transpose64(&mut block);
+            for (i, &lane) in block.iter().enumerate().take(width - 64 * w) {
+                let bit = 64 * w + i;
+                if bit < self.inputs {
+                    self.vals[bit] = lane;
+                } else {
+                    tail[bit - self.inputs] = lane;
+                }
+            }
         }
-        self.run()
+    }
+
+    /// Bitsliced [`CircuitKernel::encode_checks_wide`] of up to 64
+    /// frames: entry `f` of the result is the check word of
+    /// `frames[f]` (zero past `frames.len()`). Data bits past `k` are
+    /// ignored, as in the scalar path.
+    ///
+    /// # Panics
+    /// Panics if `frames.len() > 64`.
+    pub fn encode_checks_batch(&mut self, frames: &[BitVec]) -> [u64; 64] {
+        self.load_batch(frames, &mut []);
+        self.eval();
+        let mut checks = [0u64; 64];
+        for (j, c) in checks.iter_mut().enumerate().take(self.outs.len()) {
+            *c = self.out_lane(j);
+        }
+        transpose64(&mut checks);
+        checks
+    }
+
+    /// Checks up to 64 received codewords at once (data bits `0..k`,
+    /// then the check bits): bit `f` of the result is set when
+    /// `words[f]`'s received checks differ from a re-encode of its
+    /// data bits. Bits past `words.len()` are clear.
+    ///
+    /// # Panics
+    /// Panics if `words.len() > 64`.
+    pub fn invalid_mask_batch(&mut self, words: &[BitVec]) -> u64 {
+        let r = self.outs.len();
+        let mut received = [0u64; 64];
+        self.load_batch(words, &mut received[..r]);
+        self.eval();
+        (0..r).fold(0, |acc, j| acc | (self.out_lane(j) ^ received[j]))
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of
+/// `m[r]` is what bit `r` of `m[c]` was. Six rounds swap the
+/// off-diagonal blocks of size 32, 16, …, 1.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
@@ -246,6 +347,57 @@ impl CompositeKernel {
         }
         true
     }
+
+    /// Bitsliced [`CompositeKernel::encode`] of up to 64 data words:
+    /// entry `f` of the result is the codeword of `data[f]` (zero past
+    /// `data.len()`). After the transpose, each segment's gather map
+    /// is a list of lane indices. Data bits past `k` are ignored.
+    ///
+    /// # Panics
+    /// Panics if `data.len() > 64`.
+    pub fn encode_batch(&mut self, data: &[u64]) -> [u64; 64] {
+        let mut lanes = lanes64(data);
+        lanes[self.data_len..].fill(0);
+        for seg in &mut self.segs {
+            seg.kernel.eval_with(|si| lanes[seg.gather[si] as usize]);
+            let at = seg.check_offset as usize;
+            for j in 0..seg.kernel.check_len() {
+                lanes[at + j] = seg.kernel.out_lane(j);
+            }
+        }
+        transpose64(&mut lanes);
+        lanes
+    }
+
+    /// Checks up to 64 received codewords at once: bit `f` of the
+    /// result is set when any segment's received checks in `words[f]`
+    /// differ from a re-encode of its received data bits. Bits past
+    /// `words.len()` are clear.
+    ///
+    /// # Panics
+    /// Panics if `words.len() > 64`.
+    pub fn invalid_mask_batch(&mut self, words: &[u64]) -> u64 {
+        let lanes = lanes64(words);
+        let mut invalid = 0;
+        for seg in &mut self.segs {
+            seg.kernel.eval_with(|si| lanes[seg.gather[si] as usize]);
+            let at = seg.check_offset as usize;
+            for j in 0..seg.kernel.check_len() {
+                invalid |= seg.kernel.out_lane(j) ^ lanes[at + j];
+            }
+        }
+        invalid
+    }
+}
+
+/// Up to 64 words transposed into bit lanes: bit `f` of lane `i` is
+/// bit `i` of `words[f]`.
+fn lanes64(words: &[u64]) -> [u64; 64] {
+    assert!(words.len() <= 64, "a batch holds at most 64 frames");
+    let mut m = [0u64; 64];
+    m[..words.len()].copy_from_slice(words);
+    transpose64(&mut m);
+    m
 }
 
 fn mask64(bits: usize) -> u64 {
@@ -353,6 +505,176 @@ mod tests {
             let bits = BitVec::from_u128(d as u128, 16);
             let want = code.encode(&bits).to_u128() as u64;
             assert_eq!(k.encode(d), want, "data {d:#x}");
+        }
+    }
+
+    /// The seven named standard generators.
+    fn standard_generators() -> Vec<Generator> {
+        vec![
+            standards::hamming_7_4(),
+            standards::hamming_extended_8_4(),
+            standards::parity_code(16),
+            standards::shortened_hamming(32, 6).unwrap(),
+            standards::shortened_hamming(57, 7).unwrap(),
+            standards::paper_g4_5(),
+            standards::ieee_8023df_128_120(),
+        ]
+    }
+
+    fn random_bits(rng: &mut proptest::TestRng, len: usize) -> BitVec {
+        let words = (0..len.div_ceil(64)).map(|_| rng.next_u64()).collect();
+        BitVec::from_words(words, len)
+    }
+
+    #[test]
+    fn transpose64_matches_its_definition_and_is_an_involution() {
+        let mut rng = proptest::TestRng::deterministic("transpose64");
+        for _ in 0..32 {
+            let m: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+            let mut t = m;
+            transpose64(&mut t);
+            for (r, row) in t.iter().enumerate() {
+                for (c, col) in m.iter().enumerate() {
+                    assert_eq!(row >> c & 1, col >> r & 1, "cell ({r}, {c})");
+                }
+            }
+            transpose64(&mut t);
+            assert_eq!(t, m);
+        }
+    }
+
+    #[test]
+    fn batch_encode_and_check_match_scalar_and_generator() {
+        let mut rng = proptest::TestRng::deterministic("batch_kernel");
+        for g in standard_generators() {
+            let (k, n) = (g.data_len(), g.codeword_len());
+            let mut kernel = CircuitKernel::minimized(&g);
+            // batch sizes 0, 1, 2, 63, 64, and 150 = 64 + 64 + a partial 22
+            for total in [0, 1, 2, 63, 64, 150] {
+                let data: Vec<BitVec> = (0..total).map(|_| random_bits(&mut rng, k)).collect();
+                let mut words = Vec::new();
+                for batch in data.chunks(64) {
+                    let checks = kernel.encode_checks_batch(batch);
+                    assert!(checks[batch.len()..].iter().all(|&c| c == 0));
+                    for (d, &c) in batch.iter().zip(&checks) {
+                        let word = g.encode(d);
+                        assert_eq!(c, kernel.encode_checks_wide(d.words()), "{g:?}");
+                        assert_eq!(c, word.slice(k..n).to_u128() as u64, "{g:?}");
+                        words.push(word);
+                    }
+                }
+                // every received word clean, then one corrupted by
+                // random flips: the mask is the scalar syndrome test
+                for batch in words.chunks(64) {
+                    assert_eq!(kernel.invalid_mask_batch(batch), 0, "{g:?}");
+                    let mut rx = batch.to_vec();
+                    for w in &mut rx {
+                        for _ in 0..rng.below(3) {
+                            w.flip(rng.below(n as u64) as usize);
+                        }
+                    }
+                    let want = rx.iter().enumerate().fold(0u64, |acc, (f, w)| {
+                        let bad = kernel.encode_checks_wide(w.words()) != w.bits_at(k);
+                        acc | u64::from(bad) << f
+                    });
+                    assert_eq!(kernel.invalid_mask_batch(&rx), want, "{g:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_check_flags_every_single_bit_flip() {
+        for g in standard_generators() {
+            let (k, n) = (g.data_len(), g.codeword_len());
+            let mut kernel = CircuitKernel::minimized(&g);
+            let word = g.encode(&BitVec::from_words(
+                vec![0x0123_4567_89AB_CDEF; k.div_ceil(64)],
+                k,
+            ));
+            let positions: Vec<usize> = (0..n).collect();
+            for chunk in positions.chunks(64) {
+                let rx: Vec<BitVec> = chunk
+                    .iter()
+                    .map(|&b| {
+                        let mut w = word.clone();
+                        w.flip(b);
+                        w
+                    })
+                    .collect();
+                let all = u64::MAX >> (64 - chunk.len());
+                assert_eq!(kernel.invalid_mask_batch(&rx), all, "{g:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_encode_ignores_bits_past_k() {
+        let mut rng = proptest::TestRng::deterministic("batch_stray_bits");
+        for g in standard_generators() {
+            let k = g.data_len();
+            let mut kernel = CircuitKernel::minimized(&g);
+            // whole words of junk: everything past bit k must be ignored
+            let wide: Vec<BitVec> = (0..64)
+                .map(|_| random_bits(&mut rng, k.div_ceil(64) * 64 + 64))
+                .collect();
+            let data: Vec<BitVec> = wide.iter().map(|w| w.slice(0..k)).collect();
+            assert_eq!(
+                kernel.encode_checks_batch(&wide),
+                kernel.encode_checks_batch(&data)
+            );
+            for (w, d) in wide.iter().zip(&data) {
+                assert_eq!(
+                    kernel.encode_checks_wide(w.words()),
+                    kernel.encode_checks_wide(d.words())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn composite_batch_matches_scalar_composite() {
+        let gens = || {
+            vec![
+                standards::shortened_hamming(8, 4).unwrap(),
+                standards::parity_code(8),
+            ]
+        };
+        let map: Vec<usize> = (0..16).map(|j| j % 2).collect();
+        let codes = [
+            CompositeCode::contiguous_msb_first(gens()).unwrap(),
+            CompositeCode::from_map(gens(), &map).unwrap(),
+        ];
+        let mut rng = proptest::TestRng::deterministic("composite_batch");
+        for code in &codes {
+            let mut k = CompositeKernel::new(code);
+            let n = code.codeword_len();
+            for total in [0, 1, 2, 63, 64] {
+                // stray bits past k in the input must be ignored
+                let raw: Vec<u64> = (0..total).map(|_| rng.next_u64()).collect();
+                let data: Vec<u64> = raw.iter().map(|d| d & mask64(16)).collect();
+                let words = k.encode_batch(&raw);
+                assert!(words[total..].iter().all(|&w| w == 0));
+                for (&d, &w) in data.iter().zip(&words) {
+                    assert_eq!(w, k.encode(d), "data {d:#x}");
+                    assert_eq!(
+                        w,
+                        code.encode(&BitVec::from_u128(d as u128, 16)).to_u128() as u64
+                    );
+                }
+                assert_eq!(k.invalid_mask_batch(&words[..total]), 0);
+                // one distinct single flip per frame: every one flagged
+                let rx: Vec<u64> = (0..total).map(|f| words[f] ^ 1 << (f % n)).collect();
+                let flagged = k.invalid_mask_batch(&rx);
+                assert_eq!(flagged, mask64(total));
+                for (f, &w) in rx.iter().enumerate() {
+                    assert_eq!(flagged >> f & 1 == 1, !k.is_valid(w));
+                }
+            }
+            // every single-bit flip of one codeword
+            let word = k.encode(0xA5C3);
+            let rx: Vec<u64> = (0..n).map(|b| word ^ 1 << b).collect();
+            assert_eq!(k.invalid_mask_batch(&rx), mask64(n));
         }
     }
 

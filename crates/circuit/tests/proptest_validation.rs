@@ -4,9 +4,11 @@
 //! the matrix by the static validator; and validating any form against
 //! a perturbed matrix is refuted with the right lint class.
 
-use fec_circ::{minimize, validate_circuit, validate_source, Circuit, Lang, LintClass};
+use fec_circ::{
+    minimize, validate_circuit, validate_source, Circuit, CircuitKernel, Lang, LintClass,
+};
 use fec_codegen::{emit_c, emit_rust, MaskKernel, NaiveKernel, SparseKernel};
-use fec_gf2::BitMatrix;
+use fec_gf2::{BitMatrix, BitVec};
 use fec_hamming::Generator;
 use proptest::prelude::*;
 
@@ -75,6 +77,34 @@ proptest! {
         let kernel = MaskKernel::new(&g);
         let d = if k == 64 { d } else { d & ((1u64 << k) - 1) };
         prop_assert_eq!(m.circuit.eval_u64(d), kernel.encode_checks(d));
+    }
+
+    /// The bitsliced batch path of the minimized kernel agrees with its
+    /// scalar path and with the matrix, for encode and for the check,
+    /// on any batch size and on words wider than one `u64`.
+    #[test]
+    fn prop_batch_kernel_matches_scalar(seed in 0u64..u64::MAX, k in 1usize..=140, r in 1usize..=8, frames in 0usize..=64) {
+        let g = random_generator(seed, k, r);
+        let mut kernel = CircuitKernel::minimized(&g);
+        let mut rng = proptest::TestRng::deterministic(&format!("batch {seed}"));
+        let data: Vec<BitVec> = (0..frames)
+            .map(|_| BitVec::from_words((0..k.div_ceil(64)).map(|_| rng.next_u64()).collect(), k))
+            .collect();
+        let checks = kernel.encode_checks_batch(&data);
+        let mut words = Vec::new();
+        for (d, &c) in data.iter().zip(&checks) {
+            prop_assert_eq!(c, kernel.encode_checks_wide(d.words()));
+            let mut word = g.encode(d);
+            prop_assert_eq!(c, word.bits_at(k) & (u64::MAX >> (64 - r)));
+            if rng.below(2) == 0 {
+                word.flip(rng.below(k as u64 + r as u64) as usize);
+            }
+            words.push(word);
+        }
+        let want = words.iter().enumerate().fold(0u64, |acc, (f, w)| {
+            acc | u64::from(!g.is_valid(w)) << f
+        });
+        prop_assert_eq!(kernel.invalid_mask_batch(&words), want);
     }
 
     /// Flipping one coefficient makes every form fail validation

@@ -94,17 +94,35 @@ impl BurstProfile {
         }
     }
 
-    /// [`BurstProfile::observe`] over a packed channel-order error
-    /// vector, in O(len/64 + errors): each stretch of error-free bits
-    /// is one clean-run step.
-    pub(crate) fn observe_bits(&mut self, errors: &BitVec) {
-        let mut at = 0;
-        for o in errors.iter_ones() {
-            self.observe_clean((o - at) as u64);
-            self.observe_error();
-            at = o + 1;
+    /// [`BurstProfile::observe_gapped`] over packed channel-order
+    /// vectors: bit `o` of `errors` is the error status of channel bit
+    /// `o`, which is known where bit `o` of `known` is set (errors
+    /// outside it are ignored). Runs in O(len/64 + errors + gap
+    /// edges): each error-free stretch of known bits is one clean-run
+    /// step, and each gap one discontinuity.
+    pub(crate) fn observe_known(&mut self, errors: &BitVec, known: &BitVec) {
+        assert_eq!(errors.len(), known.len(), "observe_known: length mismatch");
+        let len = known.len();
+        let mut ones = errors.iter_ones().peekable();
+        let mut at = next_bit(known, 0, true);
+        if at > 0 {
+            self.discontinuity();
         }
-        self.observe_clean((errors.len() - at) as u64);
+        while at < len {
+            let end = next_bit(known, at, false);
+            while let Some(o) = ones.next_if(|&o| o < end) {
+                if o >= at {
+                    self.observe_clean((o - at) as u64);
+                    self.observe_error();
+                    at = o + 1;
+                }
+            }
+            self.observe_clean((end - at) as u64);
+            if end < len {
+                self.discontinuity();
+            }
+            at = next_bit(known, end, true);
+        }
     }
 
     fn observe_error(&mut self) {
@@ -305,6 +323,28 @@ impl BurstProfile {
     }
 }
 
+/// The first position `≥ from` whose bit in `v` equals `value`, or
+/// `v.len()` when there is none.
+fn next_bit(v: &BitVec, from: usize, value: bool) -> usize {
+    let words = v.words();
+    let flip = if value { 0 } else { u64::MAX };
+    let mut w = from / 64;
+    let Some(&first) = words.get(w) else {
+        return v.len();
+    };
+    let mut bits = (first ^ flip) & (u64::MAX << (from % 64));
+    loop {
+        if bits != 0 {
+            return (w * 64 + bits.trailing_zeros() as usize).min(v.len());
+        }
+        w += 1;
+        match words.get(w) {
+            Some(&word) => bits = word ^ flip,
+            None => return v.len(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +404,7 @@ mod tests {
                     seen[usize::from(!first)] += 1;
                 }
                 dense.observe(bits.iter().copied());
-                sparse.observe_bits(&BitVec::from_bools(&bits));
+                sparse.observe_known(&BitVec::from_bools(&bits), &BitVec::ones(len));
                 if len > 0 {
                     prev_last = bits[len - 1];
                 }
@@ -381,6 +421,62 @@ mod tests {
             dense.finish();
             sparse.finish();
             assert_eq!(format!("{dense:?}"), format!("{sparse:?}"));
+        }
+        assert!(seen.iter().all(|&n| n > 0), "scenario coverage {seen:?}");
+    }
+
+    /// A known-mask with gaps of 1..100 bits, adjacent gaps (a
+    /// one-bit known stretch between two), and gaps that touch either
+    /// end of the stretch now and then.
+    fn gap_pattern(rng: &mut proptest::TestRng, len: usize) -> Vec<bool> {
+        let mut known = vec![true; len];
+        let mut i = 0;
+        while i < len {
+            if rng.below(60) == 0 {
+                let gap = 1 + rng.below(100) as usize;
+                known[i..len.min(i + gap)].fill(false);
+                i += gap + usize::from(rng.below(3) == 0);
+            }
+            i += 1;
+        }
+        if len > 0 && rng.below(3) == 0 {
+            let gap = len.min(1 + rng.below(8) as usize);
+            known[..gap].fill(false);
+        }
+        if len > 0 && rng.below(3) == 0 {
+            let gap = len.min(1 + rng.below(8) as usize);
+            known[len - gap..].fill(false);
+        }
+        known
+    }
+
+    #[test]
+    fn masked_feed_matches_observe_gapped() {
+        let mut rng = proptest::TestRng::deterministic("profile_masked_feed");
+        // (gap at a call's start, gap at its end, error next to a gap,
+        // run open across a call boundary)
+        let mut seen = [0usize; 4];
+        for _ in 0..400 {
+            let (mut dense, mut masked) = (BurstProfile::new(), BurstProfile::new());
+            for _ in 0..1 + rng.below(6) {
+                let len = rng.below(400) as usize;
+                let errors = sparse_pattern(&mut rng, len);
+                let known = gap_pattern(&mut rng, len);
+                if len > 0 {
+                    seen[0] += usize::from(!known[0]);
+                    seen[1] += usize::from(!known[len - 1]);
+                    seen[3] += usize::from(known[0] && errors[0] && dense.open_run > 0);
+                }
+                seen[2] += (1..len)
+                    .filter(|&o| known[o] != known[o - 1] && errors[o] && errors[o - 1])
+                    .count();
+                dense.observe_gapped(known.iter().zip(&errors).map(|(&k, &e)| k.then_some(e)));
+                masked.observe_known(&BitVec::from_bools(&errors), &BitVec::from_bools(&known));
+                assert_eq!(format!("{dense:?}"), format!("{masked:?}"));
+            }
+            dense.finish();
+            masked.finish();
+            assert_eq!(format!("{dense:?}"), format!("{masked:?}"));
         }
         assert!(seen.iter().all(|&n| n > 0), "scenario coverage {seen:?}");
     }

@@ -15,8 +15,14 @@
 //! sent, so this delivers exactly the frames that transmitting the
 //! interleaved codewords would. The interleaver moves only set bits,
 //! so the cost follows the number of errors, not the stream length.
-//! The estimator re-encodes only erased frames whose truth was
-//! recovered: an accepted frame re-encodes to exactly what arrived.
+//!
+//! The inner code runs bitsliced, 64 frames per pass of the certified
+//! minimized kernel: the sender's encode, the receiver's
+//! detect-and-erase (one 64-bit invalid-frame mask per pass), and the
+//! estimator's re-encode of erased frames whose truth was recovered.
+//! An accepted frame is never re-encoded: it re-encodes to exactly what
+//! arrived. The estimator feeds each block's channel-order error and
+//! known-bit vectors in O(len/64 + errors + gap edges).
 //!
 //! Every stage is allocation-light and memory-ordering-free: frames
 //! are processed strictly in sequence, the only cross-frame state is
@@ -108,33 +114,48 @@ enum InnerKernel {
 }
 
 impl InnerKernel {
-    fn encode(&mut self, data: &BitVec) -> BitVec {
-        match self {
-            InnerKernel::Single { kernel, k, n } => {
-                debug_assert_eq!(data.len(), *k);
-                let checks = kernel.encode_checks_wide(data.words());
-                data.concat(&BitVec::from_u128(checks as u128, *n - *k))
-            }
-            InnerKernel::Composite { kernel, k, n } => {
-                debug_assert_eq!(data.len(), *k);
-                BitVec::from_u128(kernel.encode(data.to_u128() as u64) as u128, *n)
+    /// Encodes every frame into its codeword, 64 frames per bitsliced
+    /// pass of the minimized kernel.
+    fn encode(&mut self, frames: &[BitVec]) -> Vec<BitVec> {
+        let mut out = Vec::with_capacity(frames.len());
+        for batch in frames.chunks(64) {
+            match self {
+                InnerKernel::Single { kernel, k, n } => {
+                    let checks = kernel.encode_checks_batch(batch);
+                    out.extend(batch.iter().zip(checks).map(|(data, c)| {
+                        debug_assert_eq!(data.len(), *k);
+                        data.concat(&BitVec::from_u128(c as u128, *n - *k))
+                    }));
+                }
+                InnerKernel::Composite { kernel, n, .. } => {
+                    let data: Vec<u64> = batch.iter().map(|w| w.to_u128() as u64).collect();
+                    let words = kernel.encode_batch(&data);
+                    out.extend(
+                        words[..batch.len()]
+                            .iter()
+                            .map(|&w| BitVec::from_u128(w as u128, *n)),
+                    );
+                }
             }
         }
+        out
     }
 
-    fn is_valid(&mut self, word: &BitVec) -> bool {
-        match self {
-            InnerKernel::Single { kernel, k, n } => {
-                debug_assert_eq!(word.len(), *n);
-                // the kernel reads only the data bits 0..k; the check
-                // bits follow them
-                kernel.encode_checks_wide(word.words()) == word.bits_at(*k)
-            }
-            InnerKernel::Composite { kernel, n, .. } => {
-                debug_assert_eq!(word.len(), *n);
-                kernel.is_valid(word.to_u128() as u64)
-            }
+    /// Whether each received codeword passes its syndrome check, 64
+    /// words per bitsliced pass.
+    fn valid(&mut self, words: &[BitVec]) -> Vec<bool> {
+        let mut out = Vec::with_capacity(words.len());
+        for batch in words.chunks(64) {
+            let invalid = match self {
+                InnerKernel::Single { kernel, .. } => kernel.invalid_mask_batch(batch),
+                InnerKernel::Composite { kernel, .. } => {
+                    let words: Vec<u64> = batch.iter().map(|w| w.to_u128() as u64).collect();
+                    kernel.invalid_mask_batch(&words)
+                }
+            };
+            out.extend((0..batch.len()).map(|f| invalid >> f & 1 == 0));
         }
+        out
     }
 
     fn data_len(&self) -> usize {
@@ -308,7 +329,7 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     // channel-order block and deinterleaved onto the codewords: the
     // same RNG stream and the same received frames as transmitting
     // the interleaved codewords themselves.
-    let mut received: Vec<BitVec> = frames.iter().map(|w| kernel.encode(w)).collect();
+    let mut received = kernel.encode(&frames);
     let depth = cfg.depth.max(1);
     let il = BlockInterleaver::new(depth, n);
     let mut ge_state = GeState::Good;
@@ -329,8 +350,8 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     let mut rx_words: Vec<Option<BitVec>> = Vec::with_capacity(received.len());
     let mut erased_frames = 0u64;
     let mut erased_data = 0u64;
-    for (fi, rxw) in received.iter().enumerate() {
-        if kernel.is_valid(rxw) {
+    for (fi, (rxw, valid)) in received.iter().zip(kernel.valid(&received)).enumerate() {
+        if valid {
             rx_words.push(Some(rxw.slice(0..k)));
         } else {
             erased_frames += 1;
@@ -376,13 +397,12 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
     // the inner code accepted re-encodes to exactly what was received,
     // so its error vector is zero. An erased data frame's truth is its
     // fountain-recovered word; an erased repair frame's is recomputed
-    // from its mask once the whole subset is known. Frames that stay
+    // from its mask once the whole subset is known; these truths are
+    // re-encoded together, 64 per kernel pass. Frames that stay
     // unknown become gaps in the channel-order view.
-    let frame_errors: Vec<FrameErrors> = (0..frames.len())
-        .map(|fi| {
-            if rx_words[fi].is_some() {
-                return FrameErrors::Clean;
-            }
+    let (seen_frames, truths): (Vec<usize>, Vec<BitVec>) = (0..frames.len())
+        .filter(|&fi| rx_words[fi].is_none())
+        .filter_map(|fi| {
             let truth = match kinds[fi] {
                 FrameKind::Data(j) => delivered[j].clone(),
                 FrameKind::Repair(g, r) => {
@@ -405,16 +425,20 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
                     complete.then_some(acc)
                 }
             };
-            match truth {
-                Some(word) => {
-                    let mut e = kernel.encode(&word);
-                    e ^= &received[fi];
-                    FrameErrors::Seen(e)
-                }
-                None => FrameErrors::Unknown,
-            }
+            truth.map(|word| (fi, word))
+        })
+        .unzip();
+    let mut frame_errors: Vec<FrameErrors> = rx_words
+        .iter()
+        .map(|w| match w {
+            Some(_) => FrameErrors::Clean,
+            None => FrameErrors::Unknown,
         })
         .collect();
+    for (fi, mut e) in seen_frames.into_iter().zip(kernel.encode(&truths)) {
+        e ^= &received[fi];
+        frame_errors[fi] = FrameErrors::Seen(e);
+    }
     let mut profile = BurstProfile::new();
     profile.frame_bits = n as u64;
     // Frame-order erasure evidence first: the syndrome verdict is
@@ -432,29 +456,22 @@ pub fn run_stream(bytes: &[u8], cfg: &StreamConfig) -> StreamOutcome {
             FrameErrors::Unknown => profile.unknown_frames += 1,
         }
     }
-    // Then the bit-level view, block by block in channel order: fully
-    // known blocks in O(errors), blocks with unknown frames bit by bit
-    // with their gaps.
+    // Then the bit-level view, block by block in channel order: the
+    // bits of unknown frames are gaps, and each block costs
+    // O(len/64 + errors + bits of unknown frames).
     for &(first, count) in &blocks {
-        let block = &frame_errors[first..first + count];
         let mut err = BitVec::zeros(count * n);
-        for (f, errors) in block.iter().enumerate() {
-            if let FrameErrors::Seen(e) = errors {
-                for i in e.iter_ones() {
-                    err.set(f * n + i, true);
-                }
+        let mut gaps = BitVec::zeros(count * n);
+        for (f, errors) in frame_errors[first..first + count].iter().enumerate() {
+            match errors {
+                FrameErrors::Clean => {}
+                FrameErrors::Seen(e) => e.iter_ones().for_each(|i| err.set(f * n + i, true)),
+                FrameErrors::Unknown => (f * n..(f + 1) * n).for_each(|p| gaps.set(p, true)),
             }
         }
-        let err_ch = il.interleave_partial(&err);
-        if block.iter().all(|e| !matches!(e, FrameErrors::Unknown)) {
-            profile.observe_bits(&err_ch);
-        } else {
-            let known: Vec<bool> = (0..count * n)
-                .map(|p| !matches!(block[p / n], FrameErrors::Unknown))
-                .collect();
-            let known_ch = il.interleave_partial(&BitVec::from_bools(&known));
-            profile.observe_gapped((0..count * n).map(|o| known_ch.get(o).then(|| err_ch.get(o))));
-        }
+        let mut known = BitVec::ones(count * n);
+        known ^= &il.interleave_partial(&gaps);
+        profile.observe_known(&il.interleave_partial(&err), &known);
     }
     profile.finish();
 

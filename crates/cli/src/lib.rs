@@ -1483,6 +1483,33 @@ mod tests {
     }
 
     #[test]
+    fn report_counts_portfolio_worker_spans() {
+        // a traced 2-worker verify runs its queries on the warm pool;
+        // the report must attribute the pool's worker spans
+        let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let jsonl = tmp_path("portfolio.jsonl");
+        let (code, out, err) = run(&argv(&[
+            "verify",
+            "md(G0) = 3",
+            "--coeff",
+            "101/110/111/011",
+            "--jobs=2",
+            &format!("--trace-jsonl={}", jsonl.display()),
+        ]));
+        assert_eq!(code, 0, "{out}{err}");
+        let (code, out, err) = run(&argv(&["report", jsonl.to_str().unwrap(), "--json"]));
+        assert_eq!(code, 0, "{err}");
+        let spans: u64 = out
+            .split("\"worker_spans\": ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no worker_spans in {out}"));
+        assert!(spans > 0, "report saw no portfolio worker spans: {out}");
+        let _ = std::fs::remove_file(&jsonl);
+    }
+
+    #[test]
     fn traced_synth_writes_chrome_trace() {
         let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let chrome = tmp_path("synth-chrome.json");

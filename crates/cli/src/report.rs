@@ -147,9 +147,9 @@ pub fn analyze(text: &str) -> RunReport {
                         None => *top_us.entry(tid).or_default() += dur,
                     }
                 }
-                if name == "portfolio.solve" {
+                if name == "portfolio.pool.solve" {
                     solves.push((ts.saturating_sub(dur), ts));
-                } else if name == "portfolio.worker" {
+                } else if name == "portfolio.pool.worker" {
                     r.worker_spans += 1;
                     workers.push((ts.saturating_sub(dur), ts));
                 }
@@ -184,7 +184,7 @@ pub fn analyze(text: &str) -> RunReport {
         }
     }
     // a worker that finishes early idles until its query's slowest
-    // worker releases the portfolio.solve span
+    // worker releases the portfolio.pool.solve span
     for &(wb, we) in &workers {
         if let Some(&(_, se)) = solves.iter().find(|&&(sb, se)| sb <= wb && wb <= se) {
             r.portfolio_idle_us += se.saturating_sub(we);
@@ -372,16 +372,16 @@ mod tests {
     #[test]
     fn self_time_attribution_partitions_wall() {
         // driver (tid 0): verify.query [0, 1000] containing
-        // sat.simplify [100, 300] and portfolio.solve [400, 900];
-        // worker (tid 1): portfolio.worker [410, 700]
+        // sat.simplify [100, 300] and portfolio.pool.solve [400, 900];
+        // worker (tid 1): portfolio.pool.worker [410, 700]
         let mut t = String::new();
         t += &line(0, 0, "begin", "verify.query", None);
         t += &line(100, 0, "begin", "sat.simplify", None);
         t += &line(300, 0, "end", "sat.simplify", Some(200));
-        t += &line(400, 0, "begin", "portfolio.solve", None);
-        t += &line(410, 1, "begin", "portfolio.worker", None);
-        t += &line(700, 1, "end", "portfolio.worker", Some(290));
-        t += &line(900, 0, "end", "portfolio.solve", Some(500));
+        t += &line(400, 0, "begin", "portfolio.pool.solve", None);
+        t += &line(410, 1, "begin", "portfolio.pool.worker", None);
+        t += &line(700, 1, "end", "portfolio.pool.worker", Some(290));
+        t += &line(900, 0, "end", "portfolio.pool.solve", Some(500));
         t += &line(1000, 0, "end", "verify.query", Some(1000));
         let r = analyze(&t);
         assert_eq!(r.wall_us, 1000);

@@ -3,10 +3,25 @@
 //! A [`Gate`] is the coordination core of `pool.rs`: one coordinator
 //! thread publishes a sequence of jobs (clause-delta loads, solve
 //! calls, inprocessing passes, teardown) to `n` resident workers, and
-//! collects one report per worker per job. It subsumes the one-shot
-//! [`crate::cancel::Election`] — each published generation is a fresh
-//! election over the same slots, so the winner slot and stop flag are
-//! *reused* across queries instead of reallocated.
+//! collects one report per worker per job. Each published generation
+//! is also a fresh first-to-finish winner election over the same
+//! slots, so the winner slot and stop flag are *reused* across queries
+//! instead of reallocated:
+//!
+//! - every worker that reaches a verdict races to [`Gate::try_win`]; a
+//!   compare-exchange on the winner slot guarantees exactly one
+//!   succeeds, no matter how the finishes interleave;
+//! - the winner — and only the winner — raises the stop flag, which
+//!   the losing workers' solvers poll inside their propagation loops
+//!   and abort on;
+//! - only the winner extracts its model, so the answer reported upward
+//!   is unambiguous even when several workers finish near-simultaneously.
+//!
+//! The CAS is `AcqRel`, so the winner's identity is a unique, totally
+//! ordered decision; the stop flag is raised with `Release` and may be
+//! polled with `Relaxed` by the solvers because it carries no data —
+//! it only hastens loser shutdown, and the losers' reports reach the
+//! coordinator through the ack edge below.
 //!
 //! Protocol (verified by the model tests in `tests/model.rs`):
 //!
@@ -122,7 +137,7 @@ impl<J, R> Gate<J, R> {
         // and `idle()` just proved no worker can still be looking at
         // the previous one.
         self.winner.store(NO_WINNER, Ordering::Relaxed);
-        self.stop_ref().store(false, Ordering::Relaxed);
+        self.stop.store(false, Ordering::Relaxed);
         self.job.with_mut(|p| unsafe { *p = Some(job) });
         let g = self.seq.load(Ordering::Relaxed);
         self.seq.store(g + 1, Ordering::Release);
@@ -168,7 +183,7 @@ impl<J, R> Gate<J, R> {
             .compare_exchange(NO_WINNER, worker, Ordering::AcqRel, Ordering::Acquire)
             .is_ok();
         if won {
-            self.stop_ref().store(true, Ordering::Release);
+            self.stop.store(true, Ordering::Release);
         }
         won
     }
@@ -182,7 +197,7 @@ impl<J, R> Gate<J, R> {
     /// Whether the current generation's election has been decided and
     /// cancellation is under way.
     pub fn stop_requested(&self) -> bool {
-        self.stop_ref().load(Ordering::Acquire)
+        self.stop.load(Ordering::Acquire)
     }
 
     /// The stop flag in the form [`fec_sat::Solver::set_stop_flag`]
@@ -206,16 +221,6 @@ impl<J, R> Gate<J, R> {
             .map(|c| c.with_mut(|p| unsafe { (*p).take() }))
             .collect()
     }
-
-    #[cfg(not(feature = "fec_check"))]
-    fn stop_ref(&self) -> &AtomicBool {
-        &self.stop
-    }
-
-    #[cfg(feature = "fec_check")]
-    fn stop_ref(&self) -> &AtomicBool {
-        &self.stop
-    }
 }
 
 #[cfg(all(test, not(feature = "fec_check")))]
@@ -231,9 +236,12 @@ mod tests {
         assert_eq!(g.poll(0), Some(1));
         assert_eq!(g.poll(1), None, "same generation polls as unchanged");
         assert_eq!(g.with_job(|j| *j), 7);
+        assert_eq!(g.winner(), None);
+        assert!(!g.stop_requested());
         assert!(g.try_win(1));
         assert!(!g.try_win(0), "second claim must lose");
         assert!(g.stop_requested());
+        assert!(g.stop_handle().load(Ordering::Relaxed));
         g.submit(0, 10);
         g.submit(1, 11);
         assert!(g.idle());
@@ -250,6 +258,25 @@ mod tests {
         g.submit(1, 21);
         assert_eq!(g.take_reports(), vec![Some(20), Some(21)]);
         assert_eq!(g.winner(), Some(0));
+    }
+
+    #[test]
+    fn concurrent_claims_elect_one() {
+        let g: std::sync::Arc<Gate<u32, u32>> = std::sync::Arc::new(Gate::new(8));
+        g.publish(0);
+        let wins: Vec<bool> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|i| {
+                    let g = std::sync::Arc::clone(&g);
+                    s.spawn(move || g.try_win(i))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(wins.iter().filter(|&&w| w).count(), 1);
+        let w = g.winner().unwrap();
+        assert!(wins[w]);
+        assert!(g.stop_requested());
     }
 
     #[test]

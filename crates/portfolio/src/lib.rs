@@ -7,12 +7,13 @@
 //! first worker to reach a verdict cancels the rest through an atomic
 //! stop flag checked inside their propagation loops.
 //!
-//! Three execution modes, one entry point ([`solve`]):
+//! One engine, [`Pool`], answers every query; a one-off solve is a
+//! fresh pool's first query. It has three execution modes:
 //!
 //! - `jobs == 1` — no threads, no rings; behaves exactly like a plain
 //!   `Solver` with the default config.
-//! - parallel (default for `jobs > 1`) — one OS thread per worker,
-//!   first-to-finish wins.
+//! - racing (default for `jobs > 1`) — one resident OS thread per
+//!   worker, first-to-finish wins each query.
 //! - [`PortfolioConfig::deterministic`] — the same workers run
 //!   cooperatively on the calling thread in fixed round-robin conflict
 //!   slices with synchronous sharing epochs: same seed ⇒ same winner
@@ -21,47 +22,42 @@
 //! # Certification
 //!
 //! With [`PortfolioConfig::certify`], every worker logs a DRAT stream
-//! and the *winner's* stream is returned. Clause sharing would normally
-//! break proof self-containedness — an imported clause is a consequence
-//! of the shared formula but not necessarily derivable by unit
-//! propagation from the importer's own database — so under proof
-//! logging the solver RUP-filters every import (see
+//! and each query returns every worker's segment of it. Clause sharing
+//! would normally break proof self-containedness — an imported clause
+//! is a consequence of the shared formula but not necessarily
+//! derivable by unit propagation from the importer's own database — so
+//! under proof logging the solver RUP-filters every import (see
 //! `Solver::set_import_hook`): a shared clause is admitted only if
 //! reverse unit propagation over the importer's live database derives
-//! it, and is then logged as an ordinary learned clause. The winning
-//! proof therefore checks stand-alone with `fec-drat`.
+//! it, and is then logged as an ordinary learned clause. The winner's
+//! stitched segments therefore check stand-alone with `fec-drat`.
 //!
-//! See [`solve`] for a worked example.
+//! See [`Pool`] for a worked example.
 //!
 //! # Model checking the lock-free core
 //!
-//! The SPSC sharing ring and the winner election are hand-written
-//! lock-free code; their correctness is *model-checked*, not just
-//! example-tested. With `--features fec_check` the `ring` and `cancel`
-//! modules compile against the `fec-check` shims (swapped in by the
-//! private `sync` module) and `tests/model.rs` exhaustively explores
-//! their thread interleavings — including mutation tests proving a
-//! downgraded memory ordering is caught as a data race. The solve
-//! engine itself is compiled out under that feature (real solver
-//! threads cannot run inside a model); normal builds pay zero cost.
+//! The SPSC sharing ring and the pool's job gate (with its per-query
+//! winner election) are hand-written lock-free code; their correctness
+//! is *model-checked*, not just example-tested. With
+//! `--features fec_check` the `ring` and `gate` modules compile against
+//! the `fec-check` shims (swapped in by the private `sync` module) and
+//! `tests/model.rs` exhaustively explores their thread interleavings —
+//! including mutation tests proving a downgraded memory ordering is
+//! caught as a data race. The pool itself is compiled out under that
+//! feature (real solver threads cannot run inside a model); normal
+//! builds pay zero cost.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod cancel;
-#[cfg(not(feature = "fec_check"))]
-mod engine;
 pub mod gate;
 #[cfg(not(feature = "fec_check"))]
 mod pool;
 mod ring;
 mod sync;
 
-pub use cancel::Election;
-#[cfg(not(feature = "fec_check"))]
-pub use engine::{solve, PortfolioOutcome, PortfolioStats};
 pub use gate::Gate;
 #[cfg(not(feature = "fec_check"))]
-pub use pool::{Pool, PoolOutcome};
+pub use pool::{Pool, PoolOutcome, PortfolioStats};
 pub use ring::{spsc, Consumer, Producer};
 
 use fec_sat::{PhaseInit, RestartPolicy, SimplifyConfig, SolverConfig};
@@ -71,12 +67,6 @@ use fec_sat::{PhaseInit, RestartPolicy, SimplifyConfig, SolverConfig};
 pub struct PortfolioConfig {
     /// Number of workers. `1` means plain single-threaded solving.
     pub jobs: usize,
-    /// Learned clauses with LBD at most this are shared with peers;
-    /// `0` disables sharing entirely.
-    pub share_lbd_max: u32,
-    /// Capacity of each pairwise sharing ring (rounded up to a power of
-    /// two). Full rings drop clauses rather than block the exporter.
-    pub ring_capacity: usize,
     /// Run workers in fixed round-robin conflict slices on the calling
     /// thread instead of racing threads: reproducible, but no parallel
     /// speedup.
@@ -85,7 +75,7 @@ pub struct PortfolioConfig {
     pub det_slice_conflicts: u64,
     /// Base seed; worker `i` derives its own seed from it.
     pub seed: u64,
-    /// Log a DRAT stream in every worker and return the winner's.
+    /// Log a DRAT stream in every worker and return per-query segments.
     pub certify: bool,
     /// Enable the SatELite-style pre-/inprocessing pipeline in the
     /// workers, *diversified* per worker (see [`diversify_simplify`]):
@@ -99,8 +89,6 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             jobs: 1,
-            share_lbd_max: 6,
-            ring_capacity: 2048,
             deterministic: false,
             det_slice_conflicts: 2000,
             seed: 0,
@@ -306,7 +294,6 @@ mod tests {
     fn default_config() {
         let c = PortfolioConfig::default();
         assert_eq!(c.jobs, 1);
-        assert_eq!(c.share_lbd_max, 6);
         assert!(!c.deterministic);
         assert!(!c.certify);
         assert_eq!(PortfolioConfig::with_jobs(0).jobs, 1);

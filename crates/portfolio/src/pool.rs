@@ -1,5 +1,4 @@
-//! Resident warm worker pool: the incremental counterpart of the
-//! one-shot [`crate::solve`] engine.
+//! Resident warm worker pool: the portfolio's solve engine.
 //!
 //! A [`Pool`] keeps `jobs` diversified CDCL workers alive across an
 //! entire solving *session*. Consecutive queries ship only the clause
@@ -11,7 +10,8 @@
 //! mesh is likewise built once and reused: a clause exported during
 //! query `q` may be imported during query `q+1`, which is sound for
 //! exactly the same reason the warm learned-clause DB is — all
-//! workers' formulas grow monotonically and stay identical.
+//! workers' formulas grow monotonically and stay identical. A one-off
+//! query is simply a fresh pool's first `solve`.
 //!
 //! Threading model: the coordinator (the thread driving the [`Pool`])
 //! publishes jobs through a [`Gate`] and the resident worker threads
@@ -19,7 +19,11 @@
 //! *fire-and-forget* — the coordinator returns as soon as the job is
 //! published and overlaps its own work (e.g. the CEGIS synthesizer
 //! query) with the workers'; `solve` waits for all acknowledgements
-//! and collects per-query reports.
+//! and collects per-query reports. A worker that panics still
+//! acknowledges (with the panic instead of a report, and so does every
+//! later generation it sees), so the next `solve` panics on the
+//! coordinator instead of waiting forever, and dropping the pool still
+//! tears every thread down.
 //!
 //! Certification: with [`PortfolioConfig::certify`] every worker keeps
 //! its `MemoryProofLogger` installed for the pool's lifetime and each
@@ -35,16 +39,50 @@
 //! per query — same seed ⇒ bit-identical winners, statistics, and
 //! shipped-clause counts across runs, queries, and pool instances.
 
-use crate::engine::{
-    build_worker, emit_worker_done, observe_import, report, ring_mesh, MeshEnds, PortfolioStats,
-    WorkerReport,
-};
 use crate::gate::Gate;
-use crate::PortfolioConfig;
+use crate::ring::{spsc, Consumer, Producer};
+use crate::{diversify, diversify_simplify, PortfolioConfig};
 use fec_sat::{Budget, Lit, MemoryProofLogger, ProofStep, SolveResult, Solver, SolverStats, Var};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Learned clauses with LBD at most this are shared with peers (glue
+/// clauses are the ones worth shipping).
+const SHARE_LBD_MAX: u32 = 6;
+
+/// Capacity of each pairwise sharing ring. Full rings drop clauses
+/// rather than block the exporter.
+const RING_CAPACITY: usize = 2048;
+
+/// A clause in flight between workers: literals plus LBD at export time.
+type SharedClause = (Vec<Lit>, u32);
+
+/// Per-worker ends of the sharing mesh: the producers that broadcast a
+/// worker's exports to every peer, and the consumers that drain every
+/// peer's exports into that worker.
+type MeshEnds = (Vec<Producer<SharedClause>>, Vec<Consumer<SharedClause>>);
+
+/// Statistics of one [`Pool::solve`] query.
+#[derive(Clone, Debug, Default)]
+pub struct PortfolioStats {
+    /// Index of the worker that produced the answer (`None` on
+    /// `Unknown`).
+    pub winner: Option<usize>,
+    /// Per-worker search statistics, indexed by worker id: deltas since
+    /// each worker's previous solve report, so they cover this query
+    /// plus any loads/inprocessing in between.
+    pub workers: Vec<SolverStats>,
+    /// Field-wise sum over all workers.
+    pub total: SolverStats,
+    /// Wall-clock time of the whole call.
+    pub wall: Duration,
+    /// Clauses physically transferred into workers for this query,
+    /// summed over workers: only the per-query delta ships — the
+    /// O(delta) guarantee the regression tests pin down.
+    pub shipped_clauses: u64,
+}
 
 /// What the coordinator publishes to the resident workers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,6 +111,26 @@ struct Job {
     waker: thread::Thread,
 }
 
+/// One worker's share of a solve query. The solver itself is not
+/// `Send` (its proof logger may hold an `Rc`), so resident workers are
+/// built and dropped inside their threads and only plain data crosses
+/// back.
+struct WorkerReport {
+    result: SolveResult,
+    /// Stats delta since this worker's previous solve report.
+    stats: SolverStats,
+    /// Winner only: the model on `Sat`.
+    model: Option<Vec<Option<bool>>>,
+    /// Winner only: the failed-assumption subset on `Unsat`.
+    failed_assumptions: Vec<Lit>,
+    /// The worker's proof segment when certifying.
+    proof: Option<Vec<ProofStep>>,
+}
+
+/// A resident worker's acknowledgement of one generation: its report,
+/// or the panic that left its solver unusable.
+type Ack = thread::Result<WorkerReport>;
+
 /// Result of one warm [`Pool::solve`] query.
 pub struct PoolOutcome {
     /// The verdict (`Unknown` only if no worker finished in budget).
@@ -82,11 +140,7 @@ pub struct PoolOutcome {
     /// On `Unsat` under assumptions: the winner's failed-assumption
     /// subset.
     pub failed_assumptions: Vec<Lit>,
-    /// Per-query statistics: `workers` and `total` are *deltas* since
-    /// each worker's previous solve report (so they cover this query
-    /// plus any loads/inprocessing in between), and `shipped_clauses`
-    /// counts only the delta physically transferred — the O(delta)
-    /// guarantee the regression tests pin down.
+    /// Per-query statistics (see [`PortfolioStats`]).
     pub stats: PortfolioStats,
     /// With [`PortfolioConfig::certify`]: one DRAT segment per worker,
     /// containing everything that worker logged since its previous
@@ -104,8 +158,25 @@ impl PoolOutcome {
 
 /// A resident warm portfolio: `jobs` diversified workers that persist
 /// across queries, fed per-query clause deltas.
+///
+/// ```
+/// use fec_portfolio::{Pool, PortfolioConfig};
+/// use fec_sat::{Budget, Lit, SolveResult, Var};
+///
+/// let v = |i| Var::from_index(i);
+/// let clauses = vec![
+///     vec![Lit::pos(v(0)), Lit::pos(v(1))],
+///     vec![Lit::neg(v(0)), Lit::pos(v(1))],
+/// ];
+/// let mut pool = Pool::new(&PortfolioConfig::with_jobs(4));
+/// let out = pool.solve(2, clauses, Vec::new(), Budget::unlimited());
+/// assert_eq!(out.result, SolveResult::Sat);
+/// assert_eq!(out.value(v(1)), Some(true));
+/// // the next query ships only its delta to the same warm workers
+/// let out = pool.solve(2, vec![vec![Lit::neg(v(1))]], Vec::new(), Budget::unlimited());
+/// assert_eq!(out.result, SolveResult::Unsat);
+/// ```
 pub struct Pool {
-    config: PortfolioConfig,
     inner: PoolInner,
     /// Queries answered so far (drives trace events).
     queries: u64,
@@ -130,11 +201,7 @@ impl Pool {
         } else {
             PoolInner::Threaded(ThreadedPool::new(n, config))
         };
-        Pool {
-            config: *config,
-            inner,
-            queries: 0,
-        }
+        Pool { inner, queries: 0 }
     }
 
     /// Number of resident workers.
@@ -180,6 +247,17 @@ impl Pool {
     }
 
     /// Ships the clause delta and races the warm workers on the query.
+    ///
+    /// Every worker receives the full budget; the first worker to reach
+    /// a verdict wins the generation's election on the [`Gate`] and the
+    /// rest cancel cooperatively inside their propagation loops.
+    /// `Unknown` is returned only when *no* worker finished within the
+    /// budget.
+    ///
+    /// # Panics
+    ///
+    /// If a worker panicked during this query or an earlier one (e.g.
+    /// on a clause over a variable beyond `num_vars`).
     pub fn solve(
         &mut self,
         num_vars: usize,
@@ -210,7 +288,7 @@ impl Pool {
                 waker: thread::current(),
             }),
         };
-        let out = assemble_pool(reports, winner, shipped, start.elapsed());
+        let out = assemble(reports, winner, shipped, start.elapsed());
         if fec_trace::enabled(fec_trace::Level::Debug) {
             fec_trace::counter!(
                 fec_trace::Level::Debug,
@@ -234,10 +312,145 @@ impl Pool {
         }
         out
     }
+}
 
-    /// Whether proof segments are being collected.
-    pub fn certifying(&self) -> bool {
-        self.config.certify
+/// Builds worker `i`: its diversified solver, its proof logger when
+/// certifying (installed before any clause, so the stream records the
+/// whole input formula), and — when it has peers — the export/import
+/// hooks onto its ends of the sharing mesh.
+fn build_worker(
+    i: usize,
+    config: &PortfolioConfig,
+    (prods, cons): MeshEnds,
+) -> (Solver, Option<MemoryProofLogger>) {
+    let mut cfg = diversify(i, config.seed);
+    if config.simplify {
+        cfg.simplify = diversify_simplify(i);
+    }
+    let mut s = Solver::with_config(cfg);
+    let logger = config.certify.then(|| {
+        let l = MemoryProofLogger::new();
+        s.set_proof_logger(Box::new(l.clone()));
+        l
+    });
+    if !prods.is_empty() {
+        s.set_export_hook(
+            Box::new(move |lits, lbd| {
+                // share-traffic profile: what LBD quality actually
+                // crosses the mesh
+                fec_trace::hist!(fec_trace::Level::Debug, "portfolio.share.lbd", lbd);
+                for p in &prods {
+                    p.push((lits.to_vec(), lbd));
+                }
+            }),
+            SHARE_LBD_MAX,
+        );
+        s.set_import_hook(Box::new(move || {
+            let mut batch = Vec::new();
+            for c in &cons {
+                batch.extend(c.drain());
+            }
+            observe_import(i, batch.len());
+            batch
+        }));
+    }
+    (s, logger)
+}
+
+/// Build the full N·(N−1) SPSC ring mesh (one ring per ordered pair of
+/// distinct workers) and regroup the ends per worker. With `n` workers
+/// the returned vector has `n` entries; entry `i` holds worker `i`'s
+/// producers (feeding each peer) and consumers (fed by each peer). A
+/// lone worker gets no rings.
+fn ring_mesh(n: usize) -> Vec<MeshEnds> {
+    let mut producers: Vec<Vec<Producer<SharedClause>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut consumers: Vec<Vec<Consumer<SharedClause>>> = (0..n).map(|_| Vec::new()).collect();
+    for (i, prods) in producers.iter_mut().enumerate() {
+        for (j, cons) in consumers.iter_mut().enumerate() {
+            if i != j {
+                let (p, c) = spsc(RING_CAPACITY);
+                prods.push(p);
+                cons.push(c);
+            }
+        }
+    }
+    producers.into_iter().zip(consumers).collect()
+}
+
+/// Records one import-hook drain for worker `i`: the batch size into
+/// the share-traffic histogram and the per-worker backlog gauge (the
+/// drain happens at a restart boundary, so the batch size *is* the
+/// queue depth that built up since the previous restart).
+fn observe_import(i: usize, batch: usize) {
+    if fec_trace::enabled(fec_trace::Level::Debug) {
+        fec_trace::hist(
+            fec_trace::Level::Debug,
+            "portfolio.import.batch",
+            batch as u64,
+        );
+        fec_trace::gauge(
+            fec_trace::Level::Debug,
+            &format!("portfolio.w{i}.queue_depth"),
+            batch as i64,
+        );
+    }
+}
+
+/// One `portfolio.worker.done` event per worker with its full effort
+/// breakdown — the per-worker view that makes sub-1.0× speedups
+/// diagnosable (who burned the conflicts, who idled, who lost the
+/// race after how long).
+fn emit_worker_done(
+    i: usize,
+    stats: &SolverStats,
+    result: SolveResult,
+    won: bool,
+    started: Instant,
+) {
+    fec_trace::event!(
+        fec_trace::Level::Debug,
+        "portfolio.worker.done",
+        "worker" => i,
+        "result" => match result {
+            SolveResult::Sat => "sat",
+            SolveResult::Unsat => "unsat",
+            SolveResult::Unknown => "cancelled",
+        },
+        "won" => won,
+        "conflicts" => stats.conflicts,
+        "propagations" => stats.propagations,
+        "restarts" => stats.restarts,
+        "exported" => stats.exported_clauses,
+        "imported" => stats.imported_clauses,
+        "rejected" => stats.rejected_clauses,
+        "elapsed_us" => started.elapsed().as_micros() as u64,
+    );
+}
+
+/// One worker's report for a solve query: the per-query `stats` delta
+/// and `proof` segment as given, plus — for the winner only — the
+/// model or failed-assumption subset read off the finished solver.
+fn report(
+    s: &Solver,
+    result: SolveResult,
+    won: bool,
+    num_vars: usize,
+    stats: SolverStats,
+    proof: Option<Vec<ProofStep>>,
+) -> WorkerReport {
+    let model = (won && result == SolveResult::Sat)
+        .then(|| (0..num_vars).map(|v| s.value(Var::from_index(v))).collect());
+    let failed_assumptions = if won && result == SolveResult::Unsat {
+        s.failed_assumptions().to_vec()
+    } else {
+        Vec::new()
+    };
+    WorkerReport {
+        result,
+        stats,
+        model,
+        failed_assumptions,
+        proof,
     }
 }
 
@@ -253,11 +466,10 @@ fn apply_delta(s: &mut Solver, num_vars: usize, clauses: &[Vec<Lit>]) {
     }
 }
 
-/// Folds per-query worker reports into the outcome. Unlike the
-/// one-shot engine's assembly, the winner is named explicitly (every
-/// report may carry a proof segment here, so "has a proof" no longer
-/// identifies the winner).
-fn assemble_pool(
+/// Folds per-query worker reports into the outcome. The winner is
+/// named explicitly: every report may carry a proof segment, so "has a
+/// proof" does not identify it.
+fn assemble(
     reports: Vec<WorkerReport>,
     winner: Option<usize>,
     shipped: u64,
@@ -306,38 +518,13 @@ struct InlinePool {
 
 impl InlinePool {
     fn new(n: usize, config: &PortfolioConfig) -> InlinePool {
-        let sharing = n > 1 && config.share_lbd_max > 0;
-        let channels: Vec<MeshEnds> = if sharing {
-            ring_mesh(n, config.ring_capacity)
-        } else {
-            (0..n).map(|_| (Vec::new(), Vec::new())).collect()
-        };
-        let mut workers = Vec::with_capacity(n);
-        for (i, (prods, cons)) in channels.into_iter().enumerate() {
-            let (mut s, logger) = build_worker(i, 0, &[], config);
-            if sharing {
-                s.set_export_hook(
-                    Box::new(move |lits, lbd| {
-                        for p in &prods {
-                            p.push((lits.to_vec(), lbd));
-                        }
-                    }),
-                    config.share_lbd_max,
-                );
-                s.set_import_hook(Box::new(move || {
-                    let mut batch = Vec::new();
-                    for c in &cons {
-                        batch.extend(c.drain());
-                    }
-                    observe_import(i, batch.len());
-                    batch
-                }));
-            }
-            workers.push((s, logger));
-        }
         InlinePool {
+            workers: ring_mesh(n)
+                .into_iter()
+                .enumerate()
+                .map(|(i, ends)| build_worker(i, config, ends))
+                .collect(),
             reported: vec![SolverStats::default(); n],
-            workers,
             slice: config.det_slice_conflicts.max(1),
         }
     }
@@ -372,8 +559,9 @@ impl InlinePool {
                 verdict = Some((0, r));
             }
         } else {
-            // the engine's deterministic round-robin, but over warm
-            // workers with a fresh per-query conflict ledger
+            // fixed round-robin conflict slices with a fresh per-query
+            // conflict ledger; wall-clock only enters through the
+            // overall timeout, checked *between* epochs
             let mut spent = vec![0u64; n];
             'epochs: loop {
                 let mut any_alive = false;
@@ -410,21 +598,25 @@ impl InlinePool {
         let reports = self
             .workers
             .iter()
+            .zip(&mut self.reported)
             .enumerate()
-            .map(|(i, (s, logger))| {
+            .map(|(i, ((s, logger), reported))| {
                 let (result, won) = match verdict {
                     Some((w, r)) if w == i => (r, true),
                     _ => (SolveResult::Unknown, false),
                 };
-                let mut rep = report(s, result, num_vars, None, won);
-                rep.stats = s.stats().delta_since(&self.reported[i]);
-                rep.proof = logger.as_ref().map(|l| l.take_steps());
-                rep
+                let delta = s.stats().delta_since(reported);
+                *reported = s.stats();
+                report(
+                    s,
+                    result,
+                    won,
+                    num_vars,
+                    delta,
+                    logger.as_ref().map(|l| l.take_steps()),
+                )
             })
             .collect();
-        for (i, (s, _)) in self.workers.iter().enumerate() {
-            self.reported[i] = s.stats();
-        }
         (reports, verdict.map(|(w, _)| w))
     }
 }
@@ -434,20 +626,14 @@ impl InlinePool {
 // ---------------------------------------------------------------------
 
 struct ThreadedPool {
-    gate: Arc<Gate<Job, WorkerReport>>,
+    gate: Arc<Gate<Job, Ack>>,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl ThreadedPool {
     fn new(n: usize, config: &PortfolioConfig) -> ThreadedPool {
         let gate = Arc::new(Gate::new(n));
-        let sharing = config.share_lbd_max > 0;
-        let channels: Vec<MeshEnds> = if sharing {
-            ring_mesh(n, config.ring_capacity)
-        } else {
-            (0..n).map(|_| (Vec::new(), Vec::new())).collect()
-        };
-        let handles = channels
+        let handles = ring_mesh(n)
             .into_iter()
             .enumerate()
             .map(|(i, ends)| {
@@ -487,7 +673,13 @@ impl ThreadedPool {
             .gate
             .take_reports()
             .into_iter()
-            .map(|r| r.expect("every worker acked the solve generation"))
+            .enumerate()
+            .map(
+                |(i, ack)| match ack.expect("every worker acked the solve generation") {
+                    Ok(report) => report,
+                    Err(_) => panic!("portfolio worker {i} panicked"),
+                },
+            )
             .collect();
         (reports, self.gate.winner())
     }
@@ -495,6 +687,8 @@ impl ThreadedPool {
 
 impl Drop for ThreadedPool {
     fn drop(&mut self) {
+        // panicked workers still ack, so this neither hangs nor panics
+        // when the coordinator is already unwinding from one
         self.publish(Job {
             kind: JobKind::Quit,
             num_vars: 0,
@@ -509,117 +703,100 @@ impl Drop for ThreadedPool {
     }
 }
 
-/// Blank acknowledgement for fire-and-forget generations; the
-/// coordinator never reads these (the next solve report overwrites the
-/// slot), so they carry no stats and no proof segment — the work they
-/// represent rides into the next solve's delta.
-fn blank_report() -> WorkerReport {
-    WorkerReport {
-        result: SolveResult::Unknown,
-        stats: SolverStats::default(),
-        model: None,
-        failed_assumptions: Vec::new(),
-        proof: None,
-    }
-}
-
 /// Body of one resident worker thread.
-fn worker_main(i: usize, gate: &Gate<Job, WorkerReport>, config: &PortfolioConfig, ends: MeshEnds) {
+fn worker_main(i: usize, gate: &Gate<Job, Ack>, config: &PortfolioConfig, ends: MeshEnds) {
     fec_trace::set_thread_name(format!("pool-worker-{i}"));
-    let (mut s, logger) = build_worker(i, 0, &[], config);
+    let (mut s, logger) = build_worker(i, config, ends);
     s.set_stop_flag(gate.stop_handle());
-    let (prods, cons) = ends;
-    if config.share_lbd_max > 0 {
-        s.set_export_hook(
-            Box::new(move |lits, lbd| {
-                fec_trace::hist!(fec_trace::Level::Debug, "portfolio.share.lbd", lbd);
-                for p in &prods {
-                    p.push((lits.to_vec(), lbd));
-                }
-            }),
-            config.share_lbd_max,
-        );
-        s.set_import_hook(Box::new(move || {
-            let mut batch = Vec::new();
-            for c in &cons {
-                batch.extend(c.drain());
-            }
-            observe_import(i, batch.len());
-            batch
-        }));
-    }
     // totals already reported: each solve report is a per-query delta
     let mut reported = SolverStats::default();
     let mut last_gen = 0usize;
+    let mut poisoned = false;
     loop {
         let Some(gen) = gate.poll(last_gen) else {
             thread::park();
             continue;
         };
         last_gen = gen;
-        // apply the delta while borrowing the job, then copy out the
-        // small fields we still need after the borrow ends
-        let (kind, assumptions, budget, num_vars, waker) = gate.with_job(|job| {
-            if matches!(job.kind, JobKind::Load | JobKind::Solve) {
-                apply_delta(&mut s, job.num_vars, &job.clauses);
-            }
-            (
-                job.kind,
-                job.lits.clone(),
-                job.budget,
-                job.num_vars,
-                job.waker.clone(),
-            )
-        });
-        match kind {
-            JobKind::Quit => {
-                gate.submit(i, blank_report());
-                waker.unpark();
-                break;
-            }
-            JobKind::Load => {
-                gate.submit(i, blank_report());
-                waker.unpark();
-            }
-            JobKind::Inprocess => {
-                s.preprocess(&assumptions);
-                gate.submit(i, blank_report());
-                waker.unpark();
-            }
-            JobKind::Solve => {
-                let _wsp = fec_trace::span!(
-                    fec_trace::Level::Trace,
-                    "portfolio.pool.worker",
-                    "worker" => i,
-                );
-                let worker_start = Instant::now();
-                let result = s.solve_with_budget(&assumptions, budget);
-                // first verdict wins this generation's election and
-                // cancels the rest — same CAS discipline as the
-                // one-shot engine, on slots reset at publish
-                let won = result != SolveResult::Unknown && gate.try_win(i);
-                if won {
-                    fec_trace::event!(
-                        fec_trace::Level::Debug,
-                        "portfolio.win",
-                        "worker" => i,
-                        "conflicts" => s.stats().conflicts,
-                    );
-                }
-                let delta = s.stats().delta_since(&reported);
-                reported = s.stats();
-                emit_worker_done(i, &delta, result, won, worker_start);
-                let mut rep = report(&s, result, num_vars, None, won);
-                rep.stats = delta;
-                // every worker ships its segment every query — the
-                // stitched per-worker streams upstream need losers'
-                // derivations too (their next-query imports may
-                // depend on them)
-                rep.proof = logger.as_ref().map(|l| l.take_steps());
-                gate.submit(i, rep);
-                waker.unpark();
-            }
+        let (kind, waker) = gate.with_job(|job| (job.kind, job.waker.clone()));
+        // a panic leaves the solver unusable: ack it, and every later
+        // generation, with an error so the coordinator never waits on
+        // this worker and surfaces the panic at its next solve
+        let ack = if poisoned {
+            Err(Box::new("worker poisoned by an earlier panic") as _)
+        } else {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                gate.with_job(|job| run_job(i, gate, &mut s, logger.as_ref(), &mut reported, job))
+            }))
+        };
+        poisoned |= ack.is_err();
+        gate.submit(i, ack);
+        waker.unpark();
+        if kind == JobKind::Quit {
+            break;
         }
+    }
+}
+
+/// Runs one published job on worker `i`. Fire-and-forget generations
+/// yield a blank report the coordinator never reads: their work rides
+/// into the next solve's stats delta and proof segment.
+fn run_job(
+    i: usize,
+    gate: &Gate<Job, Ack>,
+    s: &mut Solver,
+    logger: Option<&MemoryProofLogger>,
+    reported: &mut SolverStats,
+    job: &Job,
+) -> WorkerReport {
+    match job.kind {
+        JobKind::Load => apply_delta(s, job.num_vars, &job.clauses),
+        JobKind::Inprocess => {
+            s.preprocess(&job.lits);
+        }
+        JobKind::Quit => {}
+        JobKind::Solve => {
+            apply_delta(s, job.num_vars, &job.clauses);
+            let _wsp = fec_trace::span!(
+                fec_trace::Level::Trace,
+                "portfolio.pool.worker",
+                "worker" => i,
+            );
+            let worker_start = Instant::now();
+            let result = s.solve_with_budget(&job.lits, job.budget);
+            // first verdict wins this generation's election and cancels
+            // the rest, on slots reset at publish
+            let won = result != SolveResult::Unknown && gate.try_win(i);
+            if won {
+                fec_trace::event!(
+                    fec_trace::Level::Debug,
+                    "portfolio.win",
+                    "worker" => i,
+                    "conflicts" => s.stats().conflicts,
+                );
+            }
+            let delta = s.stats().delta_since(reported);
+            *reported = s.stats();
+            emit_worker_done(i, &delta, result, won, worker_start);
+            // every worker ships its segment every query — the stitched
+            // per-worker streams upstream need losers' derivations too
+            // (their next-query imports may depend on them)
+            return report(
+                s,
+                result,
+                won,
+                job.num_vars,
+                delta,
+                logger.map(|l| l.take_steps()),
+            );
+        }
+    }
+    WorkerReport {
+        result: SolveResult::Unknown,
+        stats: SolverStats::default(),
+        model: None,
+        failed_assumptions: Vec::new(),
+        proof: None,
     }
 }
 

@@ -1,6 +1,6 @@
 //! Swappable concurrency primitives for the lock-free core.
 //!
-//! Everything in `ring.rs` and `cancel.rs` goes through this module
+//! Everything in `ring.rs` and `gate.rs` goes through this module
 //! instead of naming `std::sync::atomic` / `std::cell` directly. In
 //! normal builds the re-exports below are the `std` types (the
 //! `UnsafeCell` wrapper's closure accessors inline to nothing); with

@@ -1,14 +1,16 @@
 //! Cancellation-path coverage: a losing worker cut off mid-search must
 //! stop promptly, stay usable, and still contribute clean statistics to
-//! the portfolio aggregate.
+//! the portfolio aggregate; a worker that panics must surface on the
+//! coordinator instead of stalling it.
 
-// the solve engine is compiled out under the model-checking feature
+// the pool is compiled out under the model-checking feature
 #![cfg(not(feature = "fec_check"))]
 
-use fec_portfolio::{solve, PortfolioConfig};
+use fec_portfolio::{Pool, PortfolioConfig};
 use fec_sat::{Budget, Lit, SolveResult, Solver, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// PHP(n, m): n pigeons into m holes — UNSAT when n > m, and hard
 /// enough that workers are genuinely mid-search when cancelled.
@@ -88,20 +90,19 @@ fn budget_exhausted_losers_aggregate_cleanly() {
     // field-wise sum of the per-worker stats (no lost or double-counted
     // updates through the cancellation path)
     let (num_vars, clauses) = pigeonhole(8, 7);
-    let out = solve(
+    let out = Pool::new(&PortfolioConfig::with_jobs(4)).solve(
         num_vars,
-        &clauses,
-        &[],
+        clauses,
+        Vec::new(),
         Budget {
             max_conflicts: 16,
             timeout: None,
         },
-        &PortfolioConfig::with_jobs(4),
     );
     assert_eq!(out.result, SolveResult::Unknown);
     assert!(out.stats.winner.is_none());
     assert!(out.model.is_none());
-    assert!(out.winner_proof.is_none());
+    assert!(out.proof_segments.iter().all(Vec::is_empty));
     assert_eq!(out.stats.workers.len(), 4);
     for (field, total, sum) in sum_check(&out.stats) {
         assert_eq!(total, sum, "aggregate {field} is not the worker sum");
@@ -119,12 +120,11 @@ fn cancelled_losers_aggregate_cleanly_after_a_win() {
     // other three are cancelled through the stop flag mid-search; stats
     // from cancelled workers must still fold into a consistent total
     let (num_vars, clauses) = pigeonhole(9, 8);
-    let out = solve(
+    let out = Pool::new(&PortfolioConfig::with_jobs(4)).solve(
         num_vars,
-        &clauses,
-        &[],
+        clauses,
+        Vec::new(),
         Budget::unlimited(),
-        &PortfolioConfig::with_jobs(4),
     );
     assert_eq!(out.result, SolveResult::Unsat);
     let winner = out.stats.winner.expect("someone must win");
@@ -136,6 +136,37 @@ fn cancelled_losers_aggregate_cleanly_after_a_win() {
     assert!(
         out.stats.workers[winner].conflicts > 0,
         "a pigeonhole win cannot be conflict-free"
+    );
+}
+
+#[test]
+fn worker_panic_surfaces_on_the_coordinator() {
+    // a clause over variable 5 in a 2-variable query makes every racing
+    // worker panic while applying the delta; the query must panic on
+    // the coordinator (and the pool tear down on the way out) rather
+    // than wait forever for acknowledgements that never come. Run on a
+    // helper thread so a regression fails on the timeout instead of
+    // hanging the suite.
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let caught = std::panic::catch_unwind(|| {
+            let mut pool = Pool::new(&PortfolioConfig::with_jobs(2));
+            pool.solve(
+                2,
+                vec![vec![Lit::pos(Var::from_index(5))]],
+                Vec::new(),
+                Budget::unlimited(),
+            )
+            .result
+        });
+        let _ = tx.send(caught.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the pool hung instead of surfacing the worker panic");
+    assert!(
+        panicked,
+        "a worker panic must panic the coordinator's solve"
     );
 }
 

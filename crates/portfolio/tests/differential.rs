@@ -1,11 +1,12 @@
-//! Differential validation of the portfolio against the reference DPLL
-//! oracle, plus determinism and proof-certification checks — for both
-//! the one-shot engine and the resident warm [`Pool`].
+//! Differential validation of the warm [`Pool`] against the reference
+//! DPLL oracle, plus determinism and proof-certification checks — on
+//! one-off queries (a fresh pool's first solve) and on incremental
+//! sessions.
 
-// the solve engine is compiled out under the model-checking feature
+// the pool is compiled out under the model-checking feature
 #![cfg(not(feature = "fec_check"))]
 
-use fec_portfolio::{solve, Pool, PortfolioConfig};
+use fec_portfolio::{Pool, PoolOutcome, PortfolioConfig};
 use fec_sat::{reference, Budget, Lit, SolveResult, SolverStats, Var};
 
 /// Deterministic xorshift64* for instance generation (no external
@@ -25,6 +26,17 @@ impl Rng {
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
+}
+
+/// One-off query: a fresh pool's first solve over the whole formula.
+fn solve_fresh(
+    num_vars: usize,
+    clauses: &[Vec<Lit>],
+    assumptions: &[Lit],
+    budget: Budget,
+    config: &PortfolioConfig,
+) -> PoolOutcome {
+    Pool::new(config).solve(num_vars, clauses.to_vec(), assumptions.to_vec(), budget)
 }
 
 /// A random CNF over `num_vars` variables: `num_clauses` clauses of
@@ -62,7 +74,7 @@ fn portfolio_matches_reference_on_200_random_cnfs() {
         let num_clauses = (num_vars as f64 * 3.8) as usize;
         let clauses = random_cnf(&mut rng, num_vars, num_clauses);
         let expected = reference::solve(num_vars, &clauses);
-        let out = solve(num_vars, &clauses, &[], Budget::unlimited(), &config);
+        let out = solve_fresh(num_vars, &clauses, &[], Budget::unlimited(), &config);
         match (&expected, out.result) {
             (Some(_), SolveResult::Sat) => {
                 sat_seen += 1;
@@ -78,11 +90,14 @@ fn portfolio_matches_reference_on_200_random_cnfs() {
             (None, SolveResult::Unsat) => {
                 unsat_seen += 1;
                 // the winning worker's proof must certify the
-                // refutation stand-alone
-                let steps = out
-                    .winner_proof
-                    .as_ref()
-                    .expect("certifying portfolio returns the winner's proof");
+                // refutation stand-alone: on a fresh pool its first
+                // segment is its whole stream, inputs included
+                let winner = out.stats.winner.expect("UNSAT has a winner");
+                let steps = &out.proof_segments[winner];
+                assert!(
+                    !steps.is_empty(),
+                    "certifying pool returns the winner's proof"
+                );
                 let mut checker = fec_drat::Checker::new();
                 checker
                     .process_all(steps)
@@ -114,8 +129,8 @@ fn deterministic_mode_reproduces_winner_and_stats() {
     for _ in 0..10 {
         let num_vars = 10 + rng.below(8) as usize;
         let clauses = random_cnf(&mut rng, num_vars, (num_vars as f64 * 4.0) as usize);
-        let a = solve(num_vars, &clauses, &[], Budget::unlimited(), &config);
-        let b = solve(num_vars, &clauses, &[], Budget::unlimited(), &config);
+        let a = solve_fresh(num_vars, &clauses, &[], Budget::unlimited(), &config);
+        let b = solve_fresh(num_vars, &clauses, &[], Budget::unlimited(), &config);
         assert_eq!(a.result, b.result);
         assert_eq!(a.stats.winner, b.stats.winner);
         assert_eq!(a.model, b.model);
@@ -242,7 +257,7 @@ fn deterministic_mode_agrees_with_reference() {
         let num_vars = 6 + rng.below(10) as usize;
         let clauses = random_cnf(&mut rng, num_vars, (num_vars as f64 * 3.8) as usize);
         let expected = reference::solve(num_vars, &clauses).is_some();
-        let out = solve(num_vars, &clauses, &[], Budget::unlimited(), &config);
+        let out = solve_fresh(num_vars, &clauses, &[], Budget::unlimited(), &config);
         let got = match out.result {
             SolveResult::Sat => true,
             SolveResult::Unsat => false,
@@ -258,7 +273,7 @@ fn failed_assumptions_from_the_winner() {
     // must mention the assumption ¬x1
     let v = |i| Var::from_index(i);
     let clauses = vec![vec![Lit::pos(v(0))], vec![Lit::neg(v(0)), Lit::pos(v(1))]];
-    let out = solve(
+    let out = solve_fresh(
         2,
         &clauses,
         &[Lit::neg(v(1))],
@@ -272,7 +287,7 @@ fn failed_assumptions_from_the_winner() {
         out.failed_assumptions
     );
     // dropping the assumption makes it satisfiable again
-    let out = solve(
+    let out = solve_fresh(
         2,
         &clauses,
         &[],
@@ -288,7 +303,7 @@ fn failed_assumptions_from_the_winner() {
 fn budget_exhaustion_returns_unknown() {
     // a hard pigeonhole instance with a 1-conflict budget cannot finish
     let (num_vars, clauses) = pigeonhole(8, 7);
-    let out = solve(
+    let out = solve_fresh(
         num_vars,
         &clauses,
         &[],
@@ -309,7 +324,7 @@ fn clause_sharing_is_observed_on_hard_unsat() {
     // imports should occur (not guaranteed per-worker, but across the
     // portfolio on an instance this hard it always happens in practice)
     let (num_vars, clauses) = pigeonhole(9, 8);
-    let out = solve(
+    let out = solve_fresh(
         num_vars,
         &clauses,
         &[],

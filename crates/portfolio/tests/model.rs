@@ -1,12 +1,12 @@
 //! Model-checking the portfolio's lock-free core with `fec-check`.
 //!
 //! Compiled only with `--features fec_check`, which swaps the `std`
-//! primitives inside `ring.rs` and `cancel.rs` for the checker's
+//! primitives inside `ring.rs` and `gate.rs` for the checker's
 //! instrumented shims — the code under test here is the *production*
-//! ring and election, not a copy. Each test explores every thread
-//! interleaving within the preemption bound and fails on any data
-//! race, assertion violation, deadlock, or livelock, printing the
-//! offending schedule.
+//! ring and pool gate (with its winner election), not a copy. Each
+//! test explores every thread interleaving within the preemption bound
+//! and fails on any data race, assertion violation, deadlock, or
+//! livelock, printing the offending schedule.
 //!
 //! The `mutation` module proves the checker has teeth: a one-slot
 //! replica of the ring's publication protocol, with the orderings as
@@ -18,7 +18,7 @@
 #![cfg(feature = "fec_check")]
 
 use fec_check::{explore, CheckError, Config};
-use fec_portfolio::{spsc, Election, Gate};
+use fec_portfolio::{spsc, Gate};
 use std::sync::Arc;
 
 /// Exploration budget for the ring models. The schedule cap makes an
@@ -125,11 +125,12 @@ fn spsc_minimum_capacity_exhaustive() {
 
 #[test]
 fn winner_election_exhaustive() {
-    // three workers race to finish: exactly one may win, the stop flag
-    // must be up afterwards, and the recorded winner must be a worker
-    // that actually reported a win
+    // one published generation, three workers racing to finish: exactly
+    // one may win, the stop flag must be up afterwards, and the
+    // recorded winner must be a worker that actually reported a win
     let report = explore(&cfg(3), || {
-        let election = Arc::new(Election::new());
+        let election: Arc<Gate<u32, u32>> = Arc::new(Gate::new(3));
+        election.publish(0);
         let handles: Vec<_> = (0..3)
             .map(|i| {
                 let e = Arc::clone(&election);
@@ -158,13 +159,13 @@ fn winner_election_exhaustive() {
 
 #[test]
 fn election_publishes_winner_report() {
-    // the protocol the engine relies on: the winner writes its report
-    // (modeled as an UnsafeCell) *before* try_win; any thread that
-    // subsequently observes stop_requested() may read it. This pins
-    // the AcqRel CAS + Release store to an actual data-publication
-    // obligation, not just flag semantics.
+    // the winner writes its report (modeled as an UnsafeCell) *before*
+    // try_win; any thread that subsequently observes stop_requested()
+    // may read it. This pins the AcqRel CAS + Release store to an
+    // actual data-publication obligation, not just flag semantics.
     let report = explore(&cfg(2), || {
-        let election = Arc::new(Election::new());
+        let election: Arc<Gate<u32, u32>> = Arc::new(Gate::new(1));
+        election.publish(0);
         let answer = Arc::new(fec_check::cell::UnsafeCell::new(0u32));
         let (e, a) = (Arc::clone(&election), Arc::clone(&answer));
         let worker = fec_check::thread::spawn(move || {
@@ -426,8 +427,7 @@ fn gate_reset_path_verifies_clean() {
 
 #[test]
 fn gate_idle_acquire_downgraded_to_relaxed_is_a_race() {
-    // the ISSUE-mandated mutation: the coordinator polls acks with
-    // Relaxed instead of Acquire before reusing the report slot — the
+    // the coordinator polls acks with Relaxed instead of Acquire before reusing the report slot — the
     // drain/overwrite now races the worker's report write
     let err = gate_mutation::reset_path(
         fec_check::sync::atomic::Ordering::Release,
